@@ -96,9 +96,6 @@ class ConstraintSet:
             return self.clauses[j].variables()
         return self.exactly_one_groups[j - len(self.clauses)]
 
-    def clauses_only(self) -> "ConstraintSet":
-        return replace(self, exactly_one_groups=())
-
 
 @dataclass(frozen=True)
 class DependencyGraph:
@@ -197,45 +194,41 @@ def load_constraints(cnf_path, groups_path=None) -> ConstraintSet:
     return cs
 
 
-def _clause_satisfied(cl: Clause, x) -> bool:
-    return any(bool(x[lit.variable_index]) != lit.negated for lit in cl.literals)
+def violation_matrix(cs: ConstraintSet, X) -> np.ndarray:
+    """(rows, n_constraints) bool matrix: row r violates constraint j.
 
-
-def violated_constraints(cs: ConstraintSet, x) -> set[int]:
-    """Indices of constraints violated by assignment x (reference semantics).
-
-    A clause is violated iff all of its literals are false; an exactly-one
-    group is violated iff its member sum differs from 1.
-    """
-    if len(x) != cs.n_vars:
-        raise ValueError(f"assignment length {len(x)} != n_vars {cs.n_vars}")
-    out = {j for j, cl in enumerate(cs.clauses) if not _clause_satisfied(cl, x)}
-    base = cs.n_clauses
-    for g, group in enumerate(cs.exactly_one_groups):
-        if sum(int(bool(x[v])) for v in group) != 1:
-            out.add(base + g)
-    return out
-
-
-def satisfies_all(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
-    """Vectorized all-constraints-satisfied check over a (rows, n) 0/1 matrix.
-
-    Direct per-constraint evaluation (no tensor encoding), so it can serve as
-    an independent check of the arithmetic satisfaction pipeline.
+    The reference semantics, evaluated straight from the definitions: a
+    clause is violated iff all of its literals are false; an exactly-one
+    group is violated iff its member sum differs from 1. It shares no code
+    with the samplers' kernel, so it can serve as an independent check of it.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != cs.n_vars:
         raise ValueError(f"expected (rows, {cs.n_vars}) matrix, got {X.shape}")
-    ok = np.ones(X.shape[0], dtype=bool)
-    for cl in cs.clauses:
+    X = X.astype(bool)
+    out = np.zeros((X.shape[0], cs.n_constraints), dtype=bool)
+    for j, cl in enumerate(cs.clauses):
         sat = np.zeros(X.shape[0], dtype=bool)
         for lit in cl.literals:
-            col = X[:, lit.variable_index].astype(bool)
+            col = X[:, lit.variable_index]
             sat |= ~col if lit.negated else col
-        ok &= sat
-    for group in cs.exactly_one_groups:
-        ok &= X[:, sorted(group)].sum(axis=1) == 1
-    return ok
+        out[:, j] = ~sat
+    for g, group in enumerate(cs.exactly_one_groups):
+        out[:, cs.n_clauses + g] = X[:, sorted(group)].sum(axis=1) != 1
+    return out
+
+
+def violated_constraints(cs: ConstraintSet, x) -> set[int]:
+    """Indices of constraints violated by assignment x (see violation_matrix)."""
+    if len(x) != cs.n_vars:
+        raise ValueError(f"assignment length {len(x)} != n_vars {cs.n_vars}")
+    row = violation_matrix(cs, np.asarray(x).reshape(1, -1))[0]
+    return set(np.nonzero(row)[0].tolist())
+
+
+def satisfies_all(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, n) 0/1 matrix: does it satisfy every constraint?"""
+    return ~violation_matrix(cs, X).any(axis=1)
 
 
 def build_dependency_graph(cs: ConstraintSet) -> DependencyGraph:

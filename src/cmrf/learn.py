@@ -20,7 +20,7 @@ from .cnf import ConstraintSet, satisfies_all
 from .model import ModelParams, potential_batch
 from .oracle import ENUMERATION_CAP, exact_distribution, exact_grad_log_partition
 from .rng import Stream, fold_seed
-from .samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError
+from .samplers import draw_valid_rows
 
 
 @dataclass
@@ -120,45 +120,6 @@ def cd_step(theta: ModelParams, data_batch: np.ndarray, model_batch: np.ndarray)
     if data.shape[1] != theta.n or model.shape[1] != theta.n:
         raise ValueError("batch width does not match theta")
     return model.mean(axis=0) - data.mean(axis=0)
-
-
-def draw_valid_rows(
-    cs: ConstraintSet,
-    m: ModelParams,
-    kind: str,
-    count: int,
-    seed: int,
-    t_tryout: int = 1000,
-    gibbs_burn_in: int = 1000,
-    gibbs_thinning: int = 10,
-    retry_batches: int = 10,
-) -> np.ndarray:
-    """Collect `count` valid assignments from the named sampler.
-
-    Invalid (tryout-exhausted) rows are discarded and redrawn with a fresh
-    derived seed, up to retry_batches batches.
-    """
-    sampler = SAMPLERS[kind]
-    collected = []
-    have = 0
-    for attempt in range(retry_batches):
-        cfg = SamplerConfig(
-            batch_size=count,
-            seed=fold_seed(seed, "draw", attempt),
-            t_tryout=t_tryout,
-            gibbs_burn_in=gibbs_burn_in,
-            gibbs_thinning=gibbs_thinning,
-        )
-        batch, _ = sampler(cs, m, cfg)
-        good = batch.rows[batch.valid_flags]
-        if good.shape[0] > 0:
-            collected.append(good)
-            have += good.shape[0]
-        if have >= count:
-            return np.concatenate(collected, axis=0)[:count]
-    raise SamplerExhaustedError(
-        f"{kind} produced only {have}/{count} valid rows in {retry_batches} batches"
-    )
 
 
 def neg_log_likelihood(

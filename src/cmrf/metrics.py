@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnf import ConstraintSet, satisfies_all
-from .learn import draw_valid_rows
 from .model import ModelParams, potential
 from .oracle import exact_grad_log_partition
-from .samplers import AssignmentBatch, SamplerStats
+from .samplers import AssignmentBatch, SamplerStats, draw_valid_rows
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Exhaustive-enumeration ground truth for small instances.
 
 Everything here walks all 2^n assignments (chunked, vectorized) and evaluates
-constraints directly from their definitions, independently of the arithmetic
-clause pipeline used by the samplers. It provides the exact constrained
+constraints with the reference evaluator `cnf.violation_matrix`, independently
+of the samplers' constraint kernel. It provides the exact constrained
 distribution, the gradient of the log-partition function, and the
 product-measure violation probabilities that predict expected resample
 counts, plus the total-variation distance used to compare empirical and
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import ConstraintSet, EnumerationCapError
+from .cnf import ConstraintSet, EnumerationCapError, violation_matrix
 from .model import ModelParams, marginals
 
 ENUMERATION_CAP = 25
@@ -66,21 +66,6 @@ def _chunks(n: int):
         yield codes, bits
 
 
-def _violation_matrix(cs: ConstraintSet, bits: np.ndarray) -> np.ndarray:
-    """(rows, n_constraints) boolean matrix, evaluated straight from definitions."""
-    rows = bits.shape[0]
-    out = np.zeros((rows, cs.n_constraints), dtype=bool)
-    for j, cl in enumerate(cs.clauses):
-        sat = np.zeros(rows, dtype=bool)
-        for lit in cl.literals:
-            col = bits[:, lit.variable_index].astype(bool)
-            sat |= ~col if lit.negated else col
-        out[:, j] = ~sat
-    for g, group in enumerate(cs.exactly_one_groups):
-        out[:, cs.n_clauses + g] = bits[:, sorted(group)].sum(axis=1) != 1
-    return out
-
-
 def exact_distribution(
     cs: ConstraintSet, m: ModelParams, cap: int = ENUMERATION_CAP
 ) -> ExactDistribution:
@@ -95,7 +80,7 @@ def exact_distribution(
     support_chunks = []
     pot_chunks = []
     for _, bits in _chunks(cs.n_vars):
-        valid = ~_violation_matrix(cs, bits).any(axis=1)
+        valid = ~violation_matrix(cs, bits).any(axis=1)
         if valid.any():
             kept = bits[valid]
             support_chunks.append(kept)
@@ -143,7 +128,7 @@ def expected_resamples(
     q_single = np.zeros(cs.n_constraints)
     for _, bits in _chunks(cs.n_vars):
         weights = product_measure_weights(m, bits)
-        viol = _violation_matrix(cs, bits)
+        viol = violation_matrix(cs, bits)
         counts = viol.sum(axis=1)
         q_empty += weights[counts == 0].sum()
         lone = counts == 1
@@ -168,7 +153,7 @@ def violation_pattern_probs(
     out: dict[frozenset[int], float] = {}
     for _, bits in _chunks(cs.n_vars):
         weights = product_measure_weights(m, bits)
-        viol = _violation_matrix(cs, bits)
+        viol = violation_matrix(cs, bits)
         for w, row in zip(weights, viol):
             key = frozenset(np.nonzero(row)[0].tolist())
             out[key] = out.get(key, 0.0) + float(w)

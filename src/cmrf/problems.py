@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnf import Clause, ConstraintSet, Literal, emit_dimacs
-from .learn import Dataset, draw_valid_rows
+from .learn import Dataset
 from .model import ModelParams
 from .rng import Stream, fold_seed
+from .samplers import draw_valid_rows
 
 
 @dataclass

@@ -12,6 +12,9 @@ rows are distributed according to the constrained model.
 * gibbs_sample: single-site conditional-resampling chain with burn-in and
   thinning, kept inside the satisfying region.
 
+draw_valid_rows collects a fixed number of valid rows from any of them,
+redrawing tryout-exhausted batches with derived seeds.
+
 All randomness is counter-based (see rng): a draw for (row, round, variable)
 never depends on batch size or scheduling, so batched and sequential runs are
 bit-identical and every run is reproducible from its seed.
@@ -23,10 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cnf import ConstraintSet, violated_constraints
+from .cnf import ConstraintSet, Literal, violated_constraints
 from .model import ModelParams, marginals
 from .rng import fold_seed, uniform_field
-from .tensors import encode_tensors, resample_mask, satisfaction_pass
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -66,43 +68,58 @@ class SamplerStats:
     exhausted: int = 0
 
 
+def _pack(lists) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged integer lists as (len(lists), K) values and a liveness mask, K
+    the longest length. Dead slots repeat the row's first value (0 for an
+    empty row), so they index something valid and the mask drops them."""
+    width = max(map(len, lists), default=0)
+    values = np.zeros((len(lists), width), dtype=np.intp)
+    live = np.zeros((len(lists), width), dtype=bool)
+    for r, row in enumerate(lists):
+        if row:
+            values[r] = row[0]
+            values[r, : len(row)] = row
+            live[r, : len(row)] = True
+    return values, live
+
+
 class _ConstraintKernel:
-    """Precomputed arrays for batched violation checks and resample masks."""
+    """Every constraint, clause or exactly-one group, as one row of slots.
+
+    idx[j] holds the variables of constraint j, neg[j] the negation of each
+    literal (never set for groups) and live[j] which slots are real. A
+    constraint is violated when the count of its true literals is 0 (clause)
+    or differs from 1 (group). var_c[i] and var_live[i] are the transposed
+    lists: the constraints that contain variable i.
+    """
 
     def __init__(self, cs: ConstraintSet):
-        self.cs = cs
+        literals = [cl.literals for cl in cs.clauses]
+        literals += [[Literal(v) for v in sorted(g)] for g in cs.exactly_one_groups]
         self.n = cs.n_vars
-        self.n_clauses = cs.n_clauses
-        self.n_constraints = cs.n_constraints
-        self.tensors = encode_tensors(cs.clauses_only())
-        n_groups = len(cs.exactly_one_groups)
-        self.group_members = np.zeros((n_groups, cs.n_vars), dtype=np.int8)
-        for g, group in enumerate(cs.exactly_one_groups):
-            self.group_members[g, sorted(group)] = 1
-        # variable membership of every constraint, for single-constraint resampling
-        self.constraint_vars = np.zeros((self.n_constraints, cs.n_vars), dtype=np.int8)
-        for j in range(self.n_constraints):
-            self.constraint_vars[j, sorted(cs.constraint_variables(j))] = 1
+        self.is_group = np.arange(len(literals)) >= cs.n_clauses
+        self.idx, self.live = _pack([[lit.variable_index for lit in row] for row in literals])
+        neg, _ = _pack([[lit.negated for lit in row] for row in literals])
+        self.neg = neg.astype(bool)
+        containing = [[] for _ in range(self.n)]
+        for j, row in enumerate(literals):
+            for lit in row:
+                containing[lit.variable_index].append(j)
+        self.var_c, self.var_live = _pack(containing)
 
     def violations(self, X: np.ndarray) -> np.ndarray:
-        """(rows, n_constraints) 0/1 matrix; clauses via the tensor pipeline,
-        exactly-one groups via a direct membership-sum check."""
-        _, s_clause = satisfaction_pass(self.tensors, X)
-        if self.group_members.shape[0] == 0:
-            return s_clause
-        sums = X.astype(np.int64) @ self.group_members.T.astype(np.int64)
-        s_group = (sums != 1).astype(np.int8)
-        return np.concatenate([s_clause, s_group], axis=1)
+        """(rows, n_constraints) bool: row r violates constraint j."""
+        count = ((X[:, self.idx] ^ self.neg) & self.live).sum(axis=-1)
+        return np.where(self.is_group, count != 1, count == 0)
 
-    def full_resample_mask(self, S: np.ndarray) -> np.ndarray:
-        """Union of variable supports of all violated constraints, per row."""
-        mask = resample_mask(self.tensors, S[:, : self.n_clauses]).astype(bool)
-        if self.group_members.shape[0] > 0:
-            counts = (
-                S[:, self.n_clauses:].astype(np.int64)
-                @ self.group_members.astype(np.int64)
-            )
-            mask |= counts >= 1
+    def union_mask(self, S: np.ndarray) -> np.ndarray:
+        """(rows, n) bool: variable i lies in a constraint that row r violates."""
+        return (S[:, self.var_c] & self.var_live).any(axis=-1)
+
+    def single_mask(self, chosen: np.ndarray) -> np.ndarray:
+        """(rows, n) bool: variable i lies in constraint chosen[r]."""
+        mask = np.zeros((chosen.size, self.n), dtype=bool)
+        mask[np.arange(chosen.size)[:, None], self.idx[chosen]] = True
         return mask
 
 
@@ -120,7 +137,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     X = (uniform_field(cfg.seed, row_ids, 0, n) > p_zero).astype(np.uint8)
     rounds = np.zeros(b, dtype=np.int64)
     valid = np.zeros(b, dtype=bool)
-    tally = np.zeros(kernel.n_constraints, dtype=np.int64)
+    tally = np.zeros(cs.n_constraints, dtype=np.int64)
     records = [[] for _ in range(b)] if cfg.record else None
     active = np.arange(b)
 
@@ -140,12 +157,12 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             break
         S = S[viol_any]
         if resample_all:
-            tally += S.astype(np.int64).sum(axis=0)
-            mask = kernel.full_resample_mask(S)
+            tally += S.sum(axis=0)
+            mask = kernel.union_mask(S)
         else:
-            chosen = np.argmax(S != 0, axis=1)
+            chosen = np.argmax(S, axis=1)
             np.add.at(tally, chosen, 1)
-            mask = kernel.constraint_vars[chosen].astype(bool)
+            mask = kernel.single_mask(chosen)
         draws = (uniform_field(cfg.seed, row_ids[active], t, n) > p_zero).astype(np.uint8)
         X[active] = np.where(mask, draws, X[active])
 
@@ -284,3 +301,42 @@ SAMPLERS = {
     "moser_tardos": moser_tardos_sample,
     "gibbs": gibbs_sample,
 }
+
+
+def draw_valid_rows(
+    cs: ConstraintSet,
+    m: ModelParams,
+    kind: str,
+    count: int,
+    seed: int,
+    t_tryout: int = 1000,
+    gibbs_burn_in: int = 1000,
+    gibbs_thinning: int = 10,
+    retry_batches: int = 10,
+) -> np.ndarray:
+    """Collect `count` valid assignments from the named sampler.
+
+    Invalid (tryout-exhausted) rows are discarded and redrawn with a fresh
+    derived seed, up to retry_batches batches.
+    """
+    sampler = SAMPLERS[kind]
+    collected = []
+    have = 0
+    for attempt in range(retry_batches):
+        cfg = SamplerConfig(
+            batch_size=count,
+            seed=fold_seed(seed, "draw", attempt),
+            t_tryout=t_tryout,
+            gibbs_burn_in=gibbs_burn_in,
+            gibbs_thinning=gibbs_thinning,
+        )
+        batch, _ = sampler(cs, m, cfg)
+        good = batch.rows[batch.valid_flags]
+        if good.shape[0] > 0:
+            collected.append(good)
+            have += good.shape[0]
+        if have >= count:
+            return np.concatenate(collected, axis=0)[:count]
+    raise SamplerExhaustedError(
+        f"{kind} produced only {have}/{count} valid rows in {retry_batches} batches"
+    )

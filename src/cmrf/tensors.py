@@ -1,10 +1,12 @@
-"""Arithmetic clause-satisfaction pipeline over assignment batches.
+"""The paper's arithmetic clause-satisfaction formulation.
 
 Clauses are packed into three arrays: a literal tensor W (L x K x n, entries
 -1/0/1), a negation offset matrix b (L x K), and a clause-variable incidence
 matrix V (L x n). Satisfaction of a whole batch then reduces to one matrix
-product plus max/threshold ops, which is what lets the sampler resample
-100k candidate rows per round without a Python loop.
+product plus max/threshold ops, as the paper writes it. Acceptance criterion
+4 pins these values. The samplers do not run this pipeline: their kernel
+(`samplers._ConstraintKernel`) evaluates clauses and exactly-one groups on
+per-constraint variable index lists, a gather instead of a dense product.
 """
 
 from __future__ import annotations

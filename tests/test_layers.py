@@ -1,0 +1,46 @@
+"""Import layering of the package, checked on the source with ast.
+
+The samplers run on their own index-list kernel, so they must not reach
+back to the paper's tensor formulation (`tensors`) or up to the trainer
+(`learn`); `metrics` sits below the trainer as well.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cmrf
+
+PACKAGE = Path(cmrf.__file__).parent
+
+
+def _package_imports(module: str) -> set[str]:
+    """Names of the cmrf modules that `module` imports, however spelled."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("cmrf."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("cmrf"):
+                continue
+            base = (node.module or "").removeprefix("cmrf").lstrip(".")
+            if base:
+                out.add(base.split(".")[0])
+            else:
+                out.update(a.name for a in node.names)
+    return out
+
+
+def test_import_scan_is_not_vacuous():
+    found = _package_imports("learn")
+    assert {"cnf", "model", "oracle", "rng", "samplers"} <= found
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [("samplers", {"tensors", "learn"}), ("metrics", {"learn"})],
+)
+def test_lower_layers_do_not_import_upward(module, forbidden):
+    assert not _package_imports(module) & forbidden

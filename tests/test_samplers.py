@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmrf.cnf import (
+    Clause,
     ConstraintSet,
+    Literal,
     build_dependency_graph,
     clause,
     gamma,
     satisfies_all,
     violated_constraints,
+    violation_matrix,
 )
 from cmrf.model import ModelParams
 from cmrf.oracle import empirical_table, exact_distribution, tv_distance
 from cmrf.samplers import (
     SamplerConfig,
     SamplerExhaustedError,
+    _ConstraintKernel,
     _site_conditional,
     gibbs_sample,
     moser_tardos_sample,
@@ -71,6 +77,52 @@ class TestNelson:
         good = batch.rows[batch.valid_flags]
         assert satisfies_all(cs, good).all()
         assert good.shape[0] > 0
+
+
+@st.composite
+def mixed_sets_and_rows(draw):
+    """Clauses of unequal width mixed with exactly-one groups (size 1
+    included), often leaving variables in no constraint, plus a 0/1 batch."""
+    n = draw(st.integers(1, 7))
+    clauses = []
+    for _ in range(draw(st.integers(0, 4))):
+        variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        clauses.append(Clause(tuple(Literal(v, draw(st.booleans())) for v in variables)))
+    groups = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=3))
+    cs = ConstraintSet(n_vars=n, clauses=tuple(clauses), exactly_one_groups=tuple(groups))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    X = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=np.uint8)
+    return cs, X
+
+
+def _support_rows(cs, constraints):
+    """(len(constraints), n) bool: row k marks the variables of constraints[k]."""
+    out = np.zeros((len(constraints), cs.n_vars), dtype=bool)
+    for k, j in enumerate(constraints):
+        out[k, sorted(cs.constraint_variables(j))] = True
+    return out
+
+
+@given(mixed_sets_and_rows())
+@settings(max_examples=200, deadline=None)
+@example((ConstraintSet(n_vars=3), np.array([[0, 1, 0], [1, 1, 1]], dtype=np.uint8)))
+@example((
+    ConstraintSet(
+        n_vars=4,
+        clauses=(clause(1, -2), clause(-1)),
+        exactly_one_groups=(frozenset({1}), frozenset({0, 1})),
+    ),
+    np.array([[0, 0, 0, 0], [1, 1, 0, 1], [0, 1, 1, 0]], dtype=np.uint8),
+))
+def test_kernel_matches_reference(case):
+    cs, X = case
+    kernel = _ConstraintKernel(cs)
+    S = violation_matrix(cs, X)
+    assert np.array_equal(kernel.violations(X), S)
+    union = np.array([_support_rows(cs, np.nonzero(s)[0]).any(axis=0) for s in S])
+    assert np.array_equal(kernel.union_mask(S), union)
+    chosen = np.array([np.nonzero(s)[0][0] for s in S if s.any()], dtype=np.intp)
+    assert np.array_equal(kernel.single_mask(chosen), _support_rows(cs, chosen))
 
 
 class TestMoserTardos:

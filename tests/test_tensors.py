@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,5 +148,5 @@ def test_padding_soundness(data):
 
 def test_corpus_instances_encode_cleanly():
     for name, cs in corpus.extremal_corpus():
-        t = encode_tensors(cs.clauses_only())
+        t = encode_tensors(replace(cs, exactly_one_groups=()))
         assert t.L == cs.n_clauses, name
