@@ -4,7 +4,7 @@ Subcommands wire the generators, samplers, trainer, oracle and metrics into
 file-based runs: every run takes explicit input paths and a seed, writes its
 artifacts plus a manifest echoing the fully resolved plan, and uses no source
 of randomness other than the plan seed. Failures exit with a stable code
-(1 usage, 2 I/O, 3 infeasible instance, 4 enumeration cap, 5 sampler
+(1 usage, 2 I/O, 3 infeasible instance, 4 oracle enumeration cap, 5 sampler
 exhaustion) and a JSON error object on stderr.
 """
 
@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import DimacsError, EnumerationCapError, load_constraints
+from .cnf import DimacsError, load_constraints
 from .learn import Dataset, TrainConfig, save_trace_csv, train
 from .metrics import MetricReport, grad_error, map_at_10, resample_stats, save_histogram_csv
 from .model import ModelParams, load_model, save_model
 from .oracle import (
     EmptySupportError,
+    EnumerationCapError,
     exact_distribution,
     exact_grad_log_partition,
     expected_resamples,

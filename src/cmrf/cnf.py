@@ -1,8 +1,10 @@
 """Constraint sets over Boolean variables: CNF clauses plus exactly-one groups.
 
 Holds the DIMACS parser/serializer, reference constraint evaluation, the
-dependency graph over constraints, and the pairwise extremality check that
-decides whether the partial-rejection sampler is exact on a given instance.
+dependency graph over constraints, and the extremality check that decides
+whether the partial-rejection sampler is exact on a given instance; that
+check decides each adjacent pair of constraints in closed form, without
+enumerating assignments. This module imports no other cmrf module.
 
 Constraint indexing convention used everywhere in this package: clause j has
 constraint index j, and exactly-one group g has constraint index L + g where
@@ -17,15 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-ENUM_CAP_DEFAULT = 24
-
-
 class DimacsError(ValueError):
     """Malformed instance input: DIMACS text or the exactly-one sidecar."""
-
-
-class EnumerationCapError(RuntimeError):
-    """An exhaustive check would need to enumerate more variables than allowed."""
 
 
 @dataclass(frozen=True)
@@ -254,33 +249,23 @@ def gamma(g: DependencyGraph, S) -> frozenset[int]:
     return frozenset(out)
 
 
-def _violates_partial(cs: ConstraintSet, j: int, assignment: dict[int, int]) -> bool:
-    """Constraint j violated under a total assignment of its own variables."""
+def _jointly_violable(cs: ConstraintSet, i: int, j: int):
+    """(violable, witness) for constraints i < j that share a variable.
+
+    Clauses come before groups in the constraint order, so the pair is two
+    clauses, two groups, or clause i with group j.
+    """
     if j < cs.n_clauses:
-        return all(
-            assignment[lit.variable_index] == (1 if lit.negated else 0)
-            for lit in cs.clauses[j].literals
-        )
+        return _jointly_violable_clauses(cs.clauses[i], cs.clauses[j])
     group = cs.exactly_one_groups[j - cs.n_clauses]
-    return sum(assignment[v] for v in group) != 1
-
-
-def _jointly_violable_enum(cs, i, j, enum_cap):
-    union = sorted(cs.constraint_variables(i) | cs.constraint_variables(j))
-    if len(union) > enum_cap:
-        raise EnumerationCapError(
-            f"constraints {i},{j} span {len(union)} variables (cap {enum_cap})"
-        )
-    for bits in itertools.product((0, 1), repeat=len(union)):
-        assignment = dict(zip(union, bits))
-        if _violates_partial(cs, i, assignment) and _violates_partial(cs, j, assignment):
-            return True, assignment
-    return False, None
+    if i >= cs.n_clauses:
+        return _jointly_violable_groups(cs.exactly_one_groups[i - cs.n_clauses], group)
+    return _jointly_violable_clause_group(cs.clauses[i], group)
 
 
 def _jointly_violable_clauses(ci: Clause, cj: Clause):
-    # Two clauses can be violated together iff every shared variable carries
-    # the same polarity in both; the witness then falsifies every literal.
+    """Two clauses can be violated together iff every shared variable carries
+    the same polarity in both; the witness then falsifies every literal."""
     pol_i = {lit.variable_index: lit.negated for lit in ci.literals}
     for lit in cj.literals:
         if lit.variable_index in pol_i and pol_i[lit.variable_index] != lit.negated:
@@ -290,23 +275,49 @@ def _jointly_violable_clauses(ci: Clause, cj: Clause):
     return True, witness
 
 
-def check_extremal(cs: ConstraintSet, enum_cap: int = ENUM_CAP_DEFAULT):
+def _jointly_violable_groups(gi: frozenset[int], gj: frozenset[int]):
+    """Two exactly-one groups that share a variable are always violable
+    together: all zeros on the union puts a sum of 0 in both."""
+    return True, dict.fromkeys(sorted(gi | gj), 0)
+
+
+def _jointly_violable_clause_group(c: Clause, g: frozenset[int]):
+    """A clause and an exactly-one group can be violated together unless
+    g is a subset of vars(c) and falsifying c sets exactly one member of g
+    to 1.
+
+    Falsifying c fixes every variable of c; the members of g outside c stay
+    free. The witness sets the free members to 0, and if exactly one fixed
+    member is 1, sets the highest-indexed free member to 1 as well, so the
+    group sums to 0 or at least 2. It is the lexicographically smallest
+    assignment of the union that violates both.
+    """
+    values = {lit.variable_index: int(lit.negated) for lit in c.literals}
+    ones = sum(values[v] for v in g if v in values)
+    free = sorted(g - values.keys())
+    if ones == 1 and not free:
+        return False, None
+    values.update(dict.fromkeys(free, 0))
+    if ones == 1:
+        values[free[-1]] = 1
+    return True, {v: values[v] for v in sorted(values)}
+
+
+def check_extremal(cs: ConstraintSet):
     """Decide whether no assignment violates two variable-sharing constraints.
 
     Returns (True, None) when the set is extremal, else (False, witness) with
-    a partial assignment that violates two adjacent constraints at once.
-    Clause pairs use the shared-polarity fast path; pairs involving groups
-    enumerate the union of their supports (bounded by enum_cap).
+    an assignment of the union of two adjacent constraints' variables that
+    violates both. Each adjacent pair is decided in closed form (see
+    _jointly_violable), so no assignment is enumerated however many
+    variables a pair spans.
     """
     g = build_dependency_graph(cs)
     for i in range(cs.n_constraints):
         for j in sorted(g.adjacency[i]):
             if j <= i:
                 continue
-            if i < cs.n_clauses and j < cs.n_clauses:
-                violable, witness = _jointly_violable_clauses(cs.clauses[i], cs.clauses[j])
-            else:
-                violable, witness = _jointly_violable_enum(cs, i, j, enum_cap)
+            violable, witness = _jointly_violable(cs, i, j)
             if violable:
                 return False, witness
     return True, None

@@ -80,9 +80,6 @@ class TrainConfig:
     sampler_kind: str = "nelson"  # nelson | moser_tardos | gibbs | exact
     seed: int = 0
     t_tryout: int = 1000
-    gibbs_burn_in: int = 1000
-    gibbs_thinning: int = 10
-    retry_batches: int = 10
     nll_every: int = 10  # trace exact NLL every k-th iteration (when n <= cap)
 
     def __post_init__(self):
@@ -122,12 +119,15 @@ def cd_step(theta: ModelParams, data_batch: np.ndarray, model_batch: np.ndarray)
     return model.mean(axis=0) - data.mean(axis=0)
 
 
-def neg_log_likelihood(
-    theta: ModelParams, ds: Dataset, cs: ConstraintSet, cap: int = ENUMERATION_CAP
-) -> float:
+def neg_log_likelihood(theta: ModelParams, ds: Dataset, cs: ConstraintSet) -> float:
     """Exact NLL: log Z (enumerated) minus the mean data potential."""
     ds.validate(cs)
-    dist = exact_distribution(cs, theta, cap=cap)
+    return _nll(theta, ds, cs)
+
+
+def _nll(theta: ModelParams, ds: Dataset, cs: ConstraintSet) -> float:
+    """neg_log_likelihood on a dataset already validated against cs."""
+    dist = exact_distribution(cs, theta)
     mean_potential = float(potential_batch(theta, ds.assignments).mean())
     return dist.log_partition - mean_potential
 
@@ -164,14 +164,11 @@ def train(
                 cfg.m,
                 seed=fold_seed(cfg.seed, "model", it),
                 t_tryout=cfg.t_tryout,
-                gibbs_burn_in=cfg.gibbs_burn_in,
-                gibbs_thinning=cfg.gibbs_thinning,
-                retry_batches=cfg.retry_batches,
             )
             g = cd_step(theta, data_rows, model_rows)
         theta = ModelParams(theta.theta - cfg.eta * g)
         want_nll = trace_nll and (it % cfg.nll_every == 0 or it == cfg.t_max)
-        nll = neg_log_likelihood(theta, ds, cs) if want_nll else None
+        nll = _nll(theta, ds, cs) if want_nll else None
         trace.append(
             TraceRow(
                 iteration=it,

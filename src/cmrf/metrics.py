@@ -84,23 +84,11 @@ def grad_error(
     sampler_kind: str,
     m: int,
     seed: int,
-    t_tryout: int = 1000,
-    gibbs_burn_in: int = 1000,
-    gibbs_thinning: int = 10,
 ) -> float:
     """L1 distance between the exact log-partition gradient and the mean of m
     valid sampler draws."""
     exact = exact_grad_log_partition(cs, theta)
-    rows = draw_valid_rows(
-        cs,
-        theta,
-        sampler_kind,
-        m,
-        seed=seed,
-        t_tryout=t_tryout,
-        gibbs_burn_in=gibbs_burn_in,
-        gibbs_thinning=gibbs_thinning,
-    )
+    rows = draw_valid_rows(cs, theta, sampler_kind, m, seed=seed)
     estimate = rows.astype(np.float64).mean(axis=0)
     return float(np.abs(exact - estimate).sum())
 

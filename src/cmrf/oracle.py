@@ -15,11 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import ConstraintSet, EnumerationCapError, violation_matrix
+from .cnf import ConstraintSet, violation_matrix
 from .model import ModelParams, marginals
 
 ENUMERATION_CAP = 25
 _CHUNK_BITS = 16
+# violation_pattern_probs keys a dict by every enumerated row in Python, so
+# it stops far below ENUMERATION_CAP.
+_PATTERN_CAP = 12
+
+
+class EnumerationCapError(RuntimeError):
+    """An exhaustive enumeration would need more variables than allowed."""
 
 
 class EmptySupportError(RuntimeError):
@@ -47,10 +54,10 @@ class ResampleExpectation:
     total_expected: float
 
 
-def _check_cap(cs: ConstraintSet, cap: int) -> None:
-    if cs.n_vars > cap:
+def _check_cap(cs: ConstraintSet, limit: int) -> None:
+    if cs.n_vars > limit:
         raise EnumerationCapError(
-            f"{cs.n_vars} variables exceeds enumeration cap {cap}"
+            f"{cs.n_vars} variables exceeds enumeration cap {limit}"
         )
 
 
@@ -66,15 +73,13 @@ def _chunks(n: int):
         yield codes, bits
 
 
-def exact_distribution(
-    cs: ConstraintSet, m: ModelParams, cap: int = ENUMERATION_CAP
-) -> ExactDistribution:
+def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
     """Enumerate the constrained Boltzmann distribution exactly.
 
     log_partition is computed with a max-shifted log-sum-exp over the valid
     assignments' potentials.
     """
-    _check_cap(cs, cap)
+    _check_cap(cs, ENUMERATION_CAP)
     if m.n != cs.n_vars:
         raise ValueError("theta length does not match n_vars")
     support_chunks = []
@@ -96,11 +101,9 @@ def exact_distribution(
     return ExactDistribution(support=support, probabilities=probs, log_partition=float(log_z))
 
 
-def exact_grad_log_partition(
-    cs: ConstraintSet, m: ModelParams, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def exact_grad_log_partition(cs: ConstraintSet, m: ModelParams) -> np.ndarray:
     """Coordinate-wise mean of x under the exact constrained distribution."""
-    dist = exact_distribution(cs, m, cap=cap)
+    dist = exact_distribution(cs, m)
     return dist.probabilities @ dist.support.astype(np.float64)
 
 
@@ -111,9 +114,7 @@ def product_measure_weights(m: ModelParams, bits: np.ndarray) -> np.ndarray:
     return probs.prod(axis=1)
 
 
-def expected_resamples(
-    cs: ConstraintSet, m: ModelParams, cap: int = ENUMERATION_CAP
-) -> ResampleExpectation:
+def expected_resamples(cs: ConstraintSet, m: ModelParams) -> ResampleExpectation:
     """Predicted resample counts for the all-violated-constraints sampler.
 
     Under the product measure of the marginals, q_empty is the probability
@@ -121,7 +122,7 @@ def expected_resamples(
     is; on extremal instances the expected number of resamples of constraint
     j across a full run is q_single[j] / q_empty.
     """
-    _check_cap(cs, cap)
+    _check_cap(cs, ENUMERATION_CAP)
     if m.n != cs.n_vars:
         raise ValueError("theta length does not match n_vars")
     q_empty = 0.0
@@ -145,11 +146,9 @@ def expected_resamples(
     )
 
 
-def violation_pattern_probs(
-    cs: ConstraintSet, m: ModelParams, cap: int = 12
-) -> dict[frozenset[int], float]:
+def violation_pattern_probs(cs: ConstraintSet, m: ModelParams) -> dict[frozenset[int], float]:
     """Product-measure probability of every violated-constraint pattern."""
-    _check_cap(cs, cap)
+    _check_cap(cs, _PATTERN_CAP)
     out: dict[frozenset[int], float] = {}
     for _, bits in _chunks(cs.n_vars):
         weights = product_measure_weights(m, bits)

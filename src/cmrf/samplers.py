@@ -296,6 +296,8 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
     return batch, stats
 
 
+_RETRY_BATCHES = 10  # sampler batches draw_valid_rows tries before giving up
+
 SAMPLERS = {
     "nelson": nelson_sample,
     "moser_tardos": moser_tardos_sample,
@@ -310,25 +312,21 @@ def draw_valid_rows(
     count: int,
     seed: int,
     t_tryout: int = 1000,
-    gibbs_burn_in: int = 1000,
-    gibbs_thinning: int = 10,
-    retry_batches: int = 10,
 ) -> np.ndarray:
     """Collect `count` valid assignments from the named sampler.
 
     Invalid (tryout-exhausted) rows are discarded and redrawn with a fresh
-    derived seed, up to retry_batches batches.
+    derived seed, up to _RETRY_BATCHES batches; Gibbs runs with the
+    SamplerConfig burn-in and thinning.
     """
     sampler = SAMPLERS[kind]
     collected = []
     have = 0
-    for attempt in range(retry_batches):
+    for attempt in range(_RETRY_BATCHES):
         cfg = SamplerConfig(
             batch_size=count,
             seed=fold_seed(seed, "draw", attempt),
             t_tryout=t_tryout,
-            gibbs_burn_in=gibbs_burn_in,
-            gibbs_thinning=gibbs_thinning,
         )
         batch, _ = sampler(cs, m, cfg)
         good = batch.rows[batch.valid_flags]
@@ -338,5 +336,5 @@ def draw_valid_rows(
         if have >= count:
             return np.concatenate(collected, axis=0)[:count]
     raise SamplerExhaustedError(
-        f"{kind} produced only {have}/{count} valid rows in {retry_batches} batches"
+        f"{kind} produced only {have}/{count} valid rows in {_RETRY_BATCHES} batches"
     )

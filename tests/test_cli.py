@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmrf
 from cmrf.cli import (
     EXIT_CAP,
     EXIT_EXHAUSTED,
@@ -281,12 +284,16 @@ def test_module_entry_point(tmp_path):
     theta = tmp_path / "theta.json"
     save_model(ModelParams(np.zeros(3)), theta)
     out = tmp_path / "out"
+    # The child imports the same cmrf as this process, installed or not.
+    src = str(Path(cmrf.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cmrf.cli", "sample", "--cnf", str(cnf),
          "--theta", str(theta), "--sampler", "nelson", "--n", "10",
          "--seed", "0", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "samples.txt").exists()

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from cmrf.cnf import (
     Clause,
     ConstraintSet,
     DimacsError,
-    EnumerationCapError,
     Literal,
     build_dependency_graph,
     check_extremal,
@@ -20,8 +20,9 @@ from cmrf.cnf import (
     parse_dimacs,
     satisfies_all,
     violated_constraints,
+    violation_matrix,
 )
-from cmrf.problems import gen_sinkfree
+from cmrf.problems import gen_routes, gen_sinkfree
 
 import corpus
 
@@ -166,16 +167,17 @@ class TestGamma:
         assert gamma(g, {0}) == {0}
 
 
-def _jointly_violable_bruteforce(cs, i, j):
-    union = sorted(cs.constraint_variables(i) | cs.constraint_variables(j))
-    for bits in itertools.product((0, 1), repeat=len(union)):
-        x = [0] * cs.n_vars
-        for v, bit in zip(union, bits):
-            x[v] = bit
-        violated = violated_constraints(cs, x)
-        if i in violated and j in violated:
-            return True
-    return False
+@st.composite
+def mixed_constraint_sets(draw):
+    """Random clauses and exactly-one groups over at most 8 variables."""
+    n = draw(st.integers(1, 8))
+    subsets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    clauses = tuple(
+        Clause(tuple(Literal(v, draw(st.booleans())) for v in draw(subsets)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    groups = tuple(frozenset(draw(subsets)) for _ in range(draw(st.integers(0, 3))))
+    return ConstraintSet(n_vars=n, clauses=clauses, exactly_one_groups=groups)
 
 
 class TestCheckExtremal:
@@ -204,40 +206,62 @@ class TestCheckExtremal:
             x[v] = bit
         assert {0, 1} <= violated_constraints(cs, x)
 
-    def test_enumeration_cap(self):
+    def test_clause_group_witnesses_pinned(self):
+        # Falsifying clause 1 v -2 puts one 1 in the group, so the highest
+        # free member is set to 1 as well.
+        cs = ConstraintSet(
+            n_vars=4, clauses=(clause(1, -2),), exactly_one_groups=(frozenset({1, 2, 3}),)
+        )
+        assert check_extremal(cs) == (False, {0: 0, 1: 1, 2: 0, 3: 1})
+        # Falsifying clause 2 v -3 puts no 1 in the group; its free member stays 0.
+        cs = ConstraintSet(
+            n_vars=3, clauses=(clause(2, -3),), exactly_one_groups=(frozenset({0, 1}),)
+        )
+        assert check_extremal(cs) == (False, {0: 0, 1: 0, 2: 1})
+
+    def test_large_overlapping_groups_need_no_enumeration(self):
         g1 = frozenset(range(13))
         g2 = frozenset(range(12, 25))
         cs = ConstraintSet(n_vars=25, exactly_one_groups=(g1, g2))
-        with pytest.raises(EnumerationCapError):
-            check_extremal(cs)
-        ok, _ = check_extremal(cs, enum_cap=25)
-        assert not ok
+        assert check_extremal(cs) == (False, dict.fromkeys(range(25), 0))
 
-    def test_fast_path_matches_enumeration(self):
-        # 1000 random clause pairs over <= 10 variables
-        rng = np.random.default_rng(20240817)
-        checked = 0
-        while checked < 1000:
-            n = int(rng.integers(2, 11))
-            widths = rng.integers(1, n + 1, size=2)
-            lits = []
-            for w in widths:
-                variables = rng.permutation(n)[:w]
-                lits.append(
-                    tuple(Literal(int(v), bool(rng.integers(2))) for v in variables)
-                )
-            ca, cb = Clause(lits[0]), Clause(lits[1])
-            if not (ca.variables() & cb.variables()):
-                continue
-            cs = ConstraintSet(n_vars=n, clauses=(ca, cb))
-            ok, witness = check_extremal(cs)
-            assert ok == (not _jointly_violable_bruteforce(cs, 0, 1))
-            if not ok:
-                x = [0] * n
-                for v, bit in witness.items():
-                    x[v] = bit
-                assert violated_constraints(cs, x) == {0, 1}
-            checked += 1
+    def test_routes_14_not_extremal(self):
+        ok, witness = check_extremal(gen_routes(14).constraints)
+        assert not ok and witness
+
+    def test_large_clause_group_extremal_in_closed_form(self):
+        # Falsifying -1 v 2 v ... v 24 sets only x1 to 1, so it satisfies the
+        # group over the same 24 variables: 2^24 assignments, none enumerated.
+        cs = ConstraintSet(
+            n_vars=24,
+            clauses=(clause(-1, *range(2, 25)),),
+            exactly_one_groups=(frozenset(range(24)),),
+        )
+        start = time.perf_counter()
+        assert check_extremal(cs) == (True, None)
+        assert time.perf_counter() - start < 0.5
+
+    @given(mixed_constraint_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_path_matches_enumeration(self, cs):
+        viol = violation_matrix(cs, list(itertools.product((0, 1), repeat=cs.n_vars)))
+        adjacency = build_dependency_graph(cs).adjacency
+        pairs = [(i, j) for i in range(cs.n_constraints) for j in adjacency[i] if i < j]
+        extremal = not any((viol[:, i] & viol[:, j]).any() for i, j in pairs)
+        ok, witness = check_extremal(cs)
+        assert ok == extremal
+        if ok:
+            assert witness is None
+            return
+        x = np.zeros((1, cs.n_vars), dtype=np.uint8)
+        x[0, list(witness)] = list(witness.values())
+        violated = violation_matrix(cs, x)[0]
+        assert any(
+            set(witness) == cs.constraint_variables(i) | cs.constraint_variables(j)
+            and violated[i]
+            and violated[j]
+            for i, j in pairs
+        )
 
 
 class TestSidecar:

@@ -2,7 +2,9 @@
 
 The samplers run on their own index-list kernel, so they must not reach
 back to the paper's tensor formulation (`tensors`) or up to the trainer
-(`learn`); `metrics` sits below the trainer as well.
+(`learn`); `metrics` sits below the trainer as well. The reference oracle
+stays independent of the sampler kernel it checks and of the trainer, and
+`cnf` is the bottom layer: it imports no other cmrf module.
 """
 
 import ast
@@ -40,7 +42,15 @@ def test_import_scan_is_not_vacuous():
 
 @pytest.mark.parametrize(
     "module, forbidden",
-    [("samplers", {"tensors", "learn"}), ("metrics", {"learn"})],
+    [
+        ("samplers", {"tensors", "learn"}),
+        ("metrics", {"learn"}),
+        ("oracle", {"samplers", "learn"}),
+    ],
 )
 def test_lower_layers_do_not_import_upward(module, forbidden):
     assert not _package_imports(module) & forbidden
+
+
+def test_cnf_is_the_bottom_layer():
+    assert _package_imports("cnf") == set()

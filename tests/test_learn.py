@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cmrf.cnf import ConstraintSet, clause
+from cmrf import learn
+from cmrf.cnf import ConstraintSet, clause, satisfies_all
 from cmrf.learn import (
     Dataset,
     TrainConfig,
@@ -118,6 +119,21 @@ class TestTrain:
         assert np.array_equal(theta1.theta, theta2.theta)
         for a, b in zip(trace1, trace2):
             assert (a.iteration, a.nll, a.grad_l1) == (b.iteration, b.nll, b.grad_l1)
+
+    def test_dataset_validated_once(self, toy_cs, monkeypatch):
+        # Traced NLL points reuse the validation train made before its loop.
+        calls = []
+
+        def counting(cs, X):
+            calls.append(len(X))
+            return satisfies_all(cs, X)
+
+        monkeypatch.setattr(learn, "satisfies_all", counting)
+        ds = Dataset(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8), n_vars=3)
+        cfg = TrainConfig(m=20, t_max=5, sampler_kind="nelson", seed=0, nll_every=1)
+        _, trace = train(ds, toy_cs, cfg, ModelParams(np.zeros(3)))
+        assert all(row.nll is not None for row in trace)
+        assert calls == [3]
 
     def test_invalid_dataset_rejected(self, toy_cs):
         ds = Dataset(np.array([[0, 0, 0]], dtype=np.uint8), n_vars=3)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cmrf.cnf import ConstraintSet, EnumerationCapError, clause
+from cmrf.cnf import ConstraintSet, clause
 from cmrf.model import ModelParams
 from cmrf.oracle import (
     EmptySupportError,
+    EnumerationCapError,
     empirical_table,
     exact_distribution,
     exact_grad_log_partition,
