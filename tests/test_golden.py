@@ -6,6 +6,10 @@ samplers and the trainer produce for fixed seeds: any change to them is a
 change of behaviour, not an implementation detail. Floats that pass through
 BLAS or transcendental functions (NLL, gradient norm) are pinned at the
 12 significant digits `save_trace_csv` writes; theta is pinned bit for bit.
+
+The CLI cases pin the files `cmrf sample` writes (`samples.txt`,
+`stats.json`, `histogram.csv`), so a writer that changes the file format
+fails here even when the sampled arrays are unchanged.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from cmrf.cli import run
 from cmrf.learn import TrainConfig, train
-from cmrf.model import ModelParams
-from cmrf.problems import gen_routes, gen_sinkfree, gen_training_set
+from cmrf.model import ModelParams, save_model
+from cmrf.problems import gen_routes, gen_sinkfree, gen_training_set, save_instance
 from cmrf.samplers import SamplerConfig, gibbs_sample, moser_tardos_sample, nelson_sample
 
 import corpus
@@ -114,3 +119,73 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_fingerprint(name):
     assert CASES[name]() == GOLDEN[name]
+
+
+SAMPLE_FILES = ("samples.txt", "stats.json", "histogram.csv")
+
+
+def _cli_sample(tmp_path, inst, theta, sampler, n, *extra):
+    save_instance(inst, tmp_path / "instance.cnf", tmp_path / "instance.json")
+    save_model(ModelParams(theta), tmp_path / "theta.json")
+    out = tmp_path / "out"
+    code = run(["sample", "--cnf", str(tmp_path / "instance.cnf"),
+                "--theta", str(tmp_path / "theta.json"), "--sampler", sampler,
+                "--n", str(n), "--seed", "1", "--out", str(out), *extra])
+    assert code == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SAMPLE_FILES}
+
+
+def _cli_sinkfree(sampler, n, *extra):
+    def case(tmp_path):
+        inst = gen_sinkfree(30, 0.3, seed=1)
+        return _cli_sample(tmp_path, inst, np.zeros(inst.constraints.n_vars),
+                           sampler, n, *extra)
+
+    return case
+
+
+def _cli_routes(sampler, *extra):
+    def case(tmp_path):
+        inst = gen_routes(5)
+        return _cli_sample(tmp_path, inst, np.asarray(inst.metadata["theta"]), sampler,
+                           300, "--groups", str(tmp_path / "instance.json"), *extra)
+
+    return case
+
+
+CLI_CASES = {
+    "nelson_sinkfree": _cli_sinkfree("nelson", 500),
+    "nelson_routes": _cli_routes("nelson"),  # 139 of 300 rows INVALID
+    # A short tryout, so that moser also leaves INVALID rows (138 of 300).
+    "moser_routes": _cli_routes("moser", "--tryout", "100"),
+    "gibbs_sinkfree": _cli_sinkfree("gibbs", 20, "--burn-in", "20", "--thin", "2"),
+}
+
+CLI_GOLDEN = {
+    "nelson_sinkfree": {
+        "samples.txt": "7e2dd19e9cc7486d73f9293568b4558159c7ec396a3ab47c257acea89d1d0acb",
+        "stats.json": "1611da557de489a3b38924c50eac3ecc5436d87b95adba5e0b91a205e73adaf3",
+        "histogram.csv": "8dabea01ab95b4fbbc6e6437b715ce8c3f17f4192e041580de71f00c8afdce25",
+    },
+    "nelson_routes": {
+        "samples.txt": "c0a7010cdc396ff33f5e881f80fbcb8c7df92853e91126a7888f3b95a9699add",
+        "stats.json": "ce8ba1115d2388295995edf86c3c6f40617d2d6fd3994f09e91f45b91caa05da",
+        "histogram.csv": "edb94caa7c9fa257c18f750625f22bf5736f4c726be6cd9d7b1ed70231a3bd16",
+    },
+    "moser_routes": {
+        "samples.txt": "28f973d64a6c64f5b4554ad1fb20f3cd62e737dc068652b4234c2d111a8522ae",
+        "stats.json": "68d2ea0de01e2b769f84013a1db00641b32d81c71d3b3cb0de93d2690fa8e21c",
+        "histogram.csv": "f79e8b1b45b304fabc4e274fac52b7b1d95b852948caca0f7e0242ad548df9b1",
+    },
+    "gibbs_sinkfree": {
+        "samples.txt": "d743d316ea257e44b6381031f17e7ceb757210c36cd803861653633eb69a1efa",
+        "stats.json": "354f22981ed764d90f24f1c50d5c371c70f5e80db5e3099899377471db7854cc",
+        "histogram.csv": "2a037dfdb2f8675c1f17843dc47b352cade25d27fa95eefb2c8f290d10e29191",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_golden_fingerprint(name, tmp_path):
+    assert CLI_CASES[name](tmp_path) == CLI_GOLDEN[name]
