@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .oracle import (
     expected_resamples,
 )
 from .problems import gen_ksat, gen_routes, gen_sinkfree, save_instance
-from .samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError
+from .samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError, SamplerStats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,32 +175,68 @@ def _run_gen(plan: RunPlan, outdir: Path) -> int:
     return EXIT_OK
 
 
+# Rows per sampler call and per write in `sample`. Memory follows this, not
+# --n: a split batch matches the whole batch bit for bit (row_offset).
+_CHUNK_ROWS = 4096
+_INVALID_LINE_END = np.frombuffer(b" INVALID\n", dtype=np.uint8)
+
+
+def _encode_rows(rows: np.ndarray, valid: np.ndarray) -> bytes:
+    """samples.txt lines for a block of rows: the bits as ASCII digits, then
+    ' INVALID' on invalid rows, then a newline."""
+    b, n = rows.shape
+    buf = np.empty((b, n + _INVALID_LINE_END.size), dtype=np.uint8)
+    np.add(rows, ord("0"), out=buf[:, :n])
+    buf[:, n:] = _INVALID_LINE_END
+    buf[valid, n] = ord("\n")
+    line_len = np.where(valid, n + 1, buf.shape[1])
+    return buf[np.arange(buf.shape[1]) < line_len[:, None]].tobytes()
+
+
+def _write_stats(path: Path, rounds: np.ndarray, tally: np.ndarray, exhausted: int) -> None:
+    """The bytes _write_json would give for {"exhausted", "per_constraint",
+    "rounds"} (rounds nonempty), with rounds converted one slice at a time."""
+    head = json.dumps({"exhausted": exhausted, "per_constraint": tally.tolist()},
+                      sort_keys=True, indent=2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head.removesuffix("\n}") + ',\n  "rounds": [')
+        sep = "\n    "
+        for start in range(0, rounds.size, _CHUNK_ROWS):
+            fh.write(sep + ",\n    ".join(map(str, rounds[start:start + _CHUNK_ROWS].tolist())))
+            sep = ",\n    "
+        fh.write("\n  ]\n}\n")
+
+
 def _run_sample(plan: RunPlan, outdir: Path) -> int:
     options = plan.options
     cs, theta = _load_inputs(options)
     kind = _SAMPLER_ALIASES[options["sampler"]]
+    n = options["n"]
     cfg = SamplerConfig(
-        batch_size=options["n"],
+        batch_size=n,
         seed=options["seed"],
         t_tryout=options["tryout"],
         gibbs_burn_in=options["burn_in"],
         gibbs_thinning=options["thin"],
     )
-    batch, stats = SAMPLERS[kind](cs, theta, cfg)
-    with open(outdir / "samples.txt", "w", encoding="utf-8") as fh:
-        for row, ok in zip(batch.rows, batch.valid_flags):
-            suffix = "" if ok else " INVALID"
-            fh.write("".join(map(str, row)) + suffix + "\n")
-    _write_json(
-        outdir / "stats.json",
-        {
-            "rounds": stats.rounds_per_row.tolist(),
-            "per_constraint": stats.per_constraint_resamples.tolist(),
-            "exhausted": stats.exhausted,
-        },
-    )
-    save_histogram_csv(resample_stats(stats).histogram, outdir / "histogram.csv")
-    if stats.exhausted == options["n"]:
+    # A Gibbs chain is one sequence, so it runs as a single call.
+    chunk = n if kind == "gibbs" else _CHUNK_ROWS
+    rounds = np.empty(n, dtype=np.int64)
+    tally = np.zeros(cs.n_constraints, dtype=np.int64)
+    exhausted = 0
+    with open(outdir / "samples.txt", "wb") as fh:
+        for start in range(0, n, chunk):
+            size = min(chunk, n - start)
+            batch, stats = SAMPLERS[kind](
+                cs, theta, replace(cfg, batch_size=size, row_offset=start))
+            fh.write(_encode_rows(batch.rows, batch.valid_flags))
+            rounds[start:start + size] = stats.rounds_per_row
+            tally += stats.per_constraint_resamples
+            exhausted += stats.exhausted
+    _write_stats(outdir / "stats.json", rounds, tally, exhausted)
+    summary = resample_stats(SamplerStats(rounds, tally, exhausted=exhausted))
+    save_histogram_csv(summary.histogram, outdir / "histogram.csv")
+    if exhausted == n:
         raise SamplerExhaustedError("every row exhausted its resampling budget")
     return EXIT_OK
 
@@ -208,7 +244,7 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
 def _run_train(plan: RunPlan, outdir: Path) -> int:
     options = plan.options
     cs, _ = _load_inputs(options, need_theta=False)
-    ds = Dataset.load(options["data"], constraint_set=cs)
+    ds = Dataset.load(options["data"])  # train validates it against cs
     cfg = TrainConfig(
         m=options["m"],
         eta=options["eta"],

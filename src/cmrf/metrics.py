@@ -4,7 +4,6 @@ resample-round statistics."""
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +103,8 @@ class ResampleSummary:
 def resample_stats(stats: SamplerStats) -> ResampleSummary:
     """Frequency table of check rounds plus summary scalars."""
     rounds = stats.rounds_per_row
-    histogram = dict(sorted(Counter(rounds.tolist()).items()))
+    values, counts = np.unique(rounds, return_counts=True)
+    histogram = dict(zip(map(int, values), map(int, counts)))
     return ResampleSummary(
         histogram=histogram,
         mean_rounds=float(rounds.mean()) if rounds.size else 0.0,

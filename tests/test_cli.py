@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cmrf
+from cmrf import cli, learn
 from cmrf.cli import (
     EXIT_CAP,
     EXIT_EXHAUSTED,
@@ -18,7 +19,9 @@ from cmrf.cli import (
     build_plan,
     run,
 )
+from cmrf.cnf import satisfies_all
 from cmrf.model import ModelParams, load_model, save_model
+from cmrf.problems import gen_routes, save_instance
 
 TOY_DIMACS = "p cnf 3 2\n1 2 0\n-1 3 0\n"
 
@@ -146,6 +149,75 @@ class TestSample:
         assert outputs[0] == outputs[1]
 
 
+SAMPLE_FILES = ("samples.txt", "stats.json", "histogram.csv")
+
+
+class TestSampleChunks:
+    """`sample` split into chunks of 1 or 7 rows, with --n not a multiple of
+    either, writes the same bytes as one chunk larger than --n."""
+
+    def _chunked_runs(self, monkeypatch, tmp_path, argv, expected_code=0):
+        outputs = []
+        for chunk in (10**6, 1, 7):
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+            out = tmp_path / f"chunk-{chunk}"
+            assert run([*argv, "--out", str(out)]) == expected_code
+            outputs.append({name: (out / name).read_bytes() for name in SAMPLE_FILES})
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        # The streamed stats.json is exactly what json.dump writes for it.
+        stats = json.loads(outputs[0]["stats.json"])
+        assert outputs[0]["stats.json"].decode() == json.dumps(stats, sort_keys=True, indent=2) + "\n"
+        return outputs[0]["samples.txt"].decode().splitlines(), stats
+
+    @pytest.mark.parametrize("sampler, tryout", [("nelson", "300"), ("moser", "100")])
+    def test_routes_mixes_valid_and_invalid(self, monkeypatch, tmp_path, sampler, tryout):
+        inst = gen_routes(5)
+        save_instance(inst, tmp_path / "routes.cnf", tmp_path / "routes.json")
+        save_model(ModelParams(np.asarray(inst.metadata["theta"])), tmp_path / "theta.json")
+        argv = ["sample", "--cnf", str(tmp_path / "routes.cnf"),
+                "--groups", str(tmp_path / "routes.json"),
+                "--theta", str(tmp_path / "theta.json"), "--sampler", sampler,
+                "--n", "23", "--tryout", tryout, "--seed", "2"]
+        lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
+        invalid = [line.endswith(" INVALID") for line in lines]
+        assert len(lines) == 23 and 0 < sum(invalid) < 23
+        # Some chunk of 7 holds both kinds of row.
+        assert any(0 < sum(invalid[k:k + 7]) < len(invalid[k:k + 7]) for k in range(0, 23, 7))
+        assert stats["exhausted"] == sum(invalid)
+
+    def test_unsatisfiable_all_invalid_exits_5(self, monkeypatch, tmp_path):
+        cnf = tmp_path / "unsat.cnf"
+        cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        theta = tmp_path / "theta.json"
+        save_model(ModelParams(np.zeros(1)), theta)
+        argv = ["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "nelson",
+                "--n", "20", "--tryout", "10", "--seed", "0"]
+        lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv, EXIT_EXHAUSTED)
+        assert lines == [line for line in lines if line.endswith(" INVALID")]
+        assert stats["exhausted"] == 20 and stats["rounds"] == [10] * 20
+
+    def test_zero_constraints(self, monkeypatch, tmp_path):
+        cnf = tmp_path / "free.cnf"
+        cnf.write_text("p cnf 4 0\n")
+        theta = tmp_path / "theta.json"
+        save_model(ModelParams(np.zeros(4)), theta)
+        argv = ["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "moser",
+                "--n", "15", "--seed", "3"]
+        lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
+        assert len(lines) == 15 and stats["per_constraint"] == []
+        assert b'"per_constraint": [],' in (tmp_path / "chunk-7" / "stats.json").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_zero_rows_exits_1_before_sampling(self, monkeypatch, tmp_path, chunk):
+        cnf, theta = _write_toy(tmp_path)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        out = tmp_path / "out"
+        assert run(["sample", "--cnf", str(cnf), "--theta", str(theta),
+                    "--sampler", "nelson", "--n", "0", "--out", str(out)]) == EXIT_USAGE
+        assert not (out / "samples.txt").exists()
+
+
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path):
         cnf, theta_path = _write_toy(tmp_path)
@@ -199,6 +271,31 @@ class TestTrainEval:
         report = json.loads((ev_out / "report.json").read_text())
         assert 0.0 <= report["map_at_10"] <= 100.0
         assert report["grad_error_l1"] >= 0.0
+
+    def test_train_validates_dataset_once(self, tmp_path, monkeypatch):
+        cnf, _ = _write_toy(tmp_path)
+        data = tmp_path / "data.txt"
+        data.write_text("011\n111\n101\n")
+        calls = []
+
+        def counting(cs, X):
+            calls.append(len(X))
+            return satisfies_all(cs, X)
+
+        monkeypatch.setattr(learn, "satisfies_all", counting)
+        assert run(["train", "--cnf", str(cnf), "--data", str(data), "--m", "20",
+                    "--iters", "3", "--nll-every", "1", "--out", str(tmp_path / "o")]) == 0
+        assert calls == [3]
+
+    def test_train_rejects_violating_row(self, tmp_path, capsys):
+        cnf, _ = _write_toy(tmp_path)
+        data = tmp_path / "data.txt"
+        data.write_text("011\n000\n")
+        code = run(["train", "--cnf", str(cnf), "--data", str(data), "--iters", "3",
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert error["message"] == "dataset row 1 violates the constraints"
 
     def test_model_round_trip_lossless(self, tmp_path):
         theta = ModelParams(np.array([0.123456789, -2.5, 1e-9]))

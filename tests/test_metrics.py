@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cmrf.metrics import (
 )
 from cmrf.model import ModelParams
 from cmrf.oracle import exact_distribution, exact_grad_log_partition, expected_resamples
-from cmrf.samplers import AssignmentBatch, SamplerConfig, nelson_sample
+from cmrf.samplers import AssignmentBatch, SamplerConfig, SamplerStats, nelson_sample
 
 import corpus
 
@@ -147,6 +149,15 @@ class TestResampleStats:
         expected = expected_resamples(toy_cs, toy_uniform).per_constraint_expected
         observed = summary.per_constraint / cfg.batch_size
         assert np.all(np.abs(observed - expected) / expected < 0.05)
+
+    def test_histogram_matches_counter(self):
+        rounds = np.random.default_rng(0).integers(1, 40, size=5000).astype(np.int64)
+        summary = resample_stats(SamplerStats(rounds, np.zeros(3, dtype=np.int64)))
+        expected = dict(sorted(Counter(rounds.tolist()).items()))
+        assert list(summary.histogram.items()) == list(expected.items())
+        assert all(type(k) is int and type(v) is int for k, v in summary.histogram.items())
+        assert summary.mean_rounds == float(rounds.mean())
+        assert summary.max_rounds == int(rounds.max())
 
     def test_histogram_csv(self, tmp_path):
         path = tmp_path / "hist.csv"
