@@ -234,7 +234,7 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
             tally += stats.per_constraint_resamples
             exhausted += stats.exhausted
     _write_stats(outdir / "stats.json", rounds, tally, exhausted)
-    summary = resample_stats(SamplerStats(rounds, tally, exhausted=exhausted))
+    summary = resample_stats(SamplerStats(rounds, tally))
     save_histogram_csv(summary.histogram, outdir / "histogram.csv")
     if exhausted == n:
         raise SamplerExhaustedError("every row exhausted its resampling budget")
