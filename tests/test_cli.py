@@ -194,7 +194,7 @@ class TestSampleChunks:
         argv = ["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "nelson",
                 "--n", "20", "--tryout", "10", "--seed", "0"]
         lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv, EXIT_EXHAUSTED)
-        assert lines == [line for line in lines if line.endswith(" INVALID")]
+        assert all(line.endswith(" INVALID") for line in lines)
         assert stats["exhausted"] == 20 and stats["rounds"] == [10] * 20
 
     def test_zero_constraints(self, monkeypatch, tmp_path):
@@ -206,7 +206,6 @@ class TestSampleChunks:
                 "--n", "15", "--seed", "3"]
         lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
         assert len(lines) == 15 and stats["per_constraint"] == []
-        assert b'"per_constraint": [],' in (tmp_path / "chunk-7" / "stats.json").read_bytes()
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_zero_rows_exits_1_before_sampling(self, monkeypatch, tmp_path, chunk):
