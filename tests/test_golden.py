@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from cmrf.cli import run
+from cmrf.cnf import ConstraintSet, clause
 from cmrf.learn import TrainConfig, train
 from cmrf.model import ModelParams, save_model
 from cmrf.problems import gen_routes, gen_sinkfree, gen_training_set, save_instance
@@ -81,6 +82,22 @@ def _gibbs_chain():
     return _run_digest(*gibbs_sample(cs, m, cfg))
 
 
+def _gibbs_mixed_chain():
+    # Clauses share variables with every group, yet the chain still moves:
+    # the group members stay frozen, the free variables do not.
+    cs = ConstraintSet(
+        n_vars=12,
+        clauses=(clause(1, 4), clause(-2, 5, 7), clause(-4, -5), clause(6, -8, 9),
+                 clause(-9, 11), clause(3, -11, 4), clause(8, 12), clause(-12, -7, 11)),
+        exactly_one_groups=(frozenset({0, 1, 2}), frozenset({5, 6}), frozenset({9})),
+    )
+    m = ModelParams(np.linspace(-1.0, 1.0, cs.n_vars))
+    cfg = SamplerConfig(batch_size=50, seed=7, gibbs_burn_in=10, gibbs_thinning=3)
+    batch, stats = gibbs_sample(cs, m, cfg)
+    assert len(np.unique(batch.rows, axis=0)) > 1
+    return _run_digest(batch, stats)
+
+
 def _train_trace():
     inst = gen_sinkfree(8, 0.5, seed=0)
     cs = inst.constraints
@@ -102,6 +119,7 @@ CASES = {
     "moser_routes": _resampler(moser_tardos_sample, _routes, 300),
     "nelson_toy_records": _toy_records,
     "gibbs_sinkfree": _gibbs_chain,
+    "gibbs_mixed": _gibbs_mixed_chain,
     "train_nelson": _train_trace,
 }
 
@@ -112,6 +130,7 @@ GOLDEN = {
     "moser_routes": "58116693d263375951a57c4a6a7946f272d283fb6e278d38547f9d824411d0eb",
     "nelson_toy_records": "d5f9620c67e5994d6761dda13238c76851bb7664b3bed91fd733239b8b8ac4bf",
     "gibbs_sinkfree": "6ab3af434f266a062f5e83ec6ad5bad60492a102ecae93d5663ddca2c8ff3a76",
+    "gibbs_mixed": "98afa04101681a58b1cce27db24f9ab6fd8aaadf1aed72cd857539c85eef3339",
     "train_nelson": "62fe4c1a36e8857e6b8e88ff297735b90aca7055ea70d1c606756f480189c32b",
 }
 
