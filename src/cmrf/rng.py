@@ -74,11 +74,6 @@ def uniform_field(seed: int, rows: np.ndarray, round_index: int, n_slots: int) -
     return _to_unit(h)
 
 
-def uniform_at(seed: int, row: int, round_index: int, slot: int) -> float:
-    """Scalar counterpart of uniform_field (same value as the field entry)."""
-    return float(_to_unit(hash_u64(seed, row, round_index, slot)))
-
-
 class Stream:
     """Sequential uniforms off a counter; convenience wrapper for generators.
 

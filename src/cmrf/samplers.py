@@ -10,7 +10,8 @@ rows are distributed according to the constrained model.
 * moser_tardos_sample: identical, except each round redraws the variables of
   a single violated constraint (the lowest-indexed one).
 * gibbs_sample: single-site conditional-resampling chain with burn-in and
-  thinning, kept inside the satisfying region.
+  thinning. It starts from a valid assignment and every update keeps it
+  valid, so the current value of a site is always a feasible choice.
 
 draw_valid_rows collects a fixed number of valid rows from any of them,
 redrawing tryout-exhausted batches with derived seeds.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cnf import ConstraintSet, Literal, violated_constraints
+from .cnf import ConstraintSet, Literal
 from .model import ModelParams, marginals
 from .rng import fold_seed, uniform_field
 
@@ -122,6 +123,38 @@ class _ConstraintKernel:
         mask[np.arange(chosen.size)[:, None], self.idx[chosen]] = True
         return mask
 
+    def gibbs_levels(self) -> list[tuple[np.ndarray, ...]]:
+        """Plan of an index-order Gibbs sweep that updates a level at a time.
+
+        A variable's level is one more than the highest level of any
+        lower-indexed variable it shares a constraint with, or 0 if none. So
+        no constraint holds two members of a level, lower-indexed neighbours
+        sit in earlier levels and higher-indexed ones in later levels, and
+        updating a whole level at once equals the site-by-site scan.
+
+        Each level is (members, slots, neg, other, lo, hi). Row d of member k
+        is its d-th constraint; `other` marks the slots of the other
+        variables. With the member at value v the constraint holds exactly
+        when the true-literal count over those slots lies in [lo[v], hi[v]];
+        padding rows hold for every count.
+        """
+        level = np.zeros(self.n, dtype=np.intp)
+        for i in range(self.n):
+            cons = self.var_c[i, self.var_live[i]]
+            lower = self.idx[cons][self.live[cons] & (self.idx[cons] < i)]
+            level[i] = level[lower].max(initial=-1) + 1
+        out = []
+        for lv in range(level.max(initial=-1) + 1):
+            members = np.flatnonzero(level == lv)
+            cons, real = self.var_c[members], self.var_live[members]
+            slots, live = self.idx[cons], self.live[cons]
+            own = live & (slots == members[:, None, None])
+            neg_own = (self.neg[cons] & own).any(axis=-1)
+            lo = np.where(real, np.stack([~neg_own, neg_own]), 0)
+            hi = np.where(real & self.is_group[cons], lo, slots.shape[-1])
+            out.append((members, slots, self.neg[cons], live & ~own, lo, hi))
+        return out
+
 
 def _append_records(records, active, S):
     for local in np.nonzero(S.any(axis=1))[0]:
@@ -198,46 +231,21 @@ def _check_shapes(cs: ConstraintSet, m: ModelParams) -> None:
         raise ValueError(f"theta length {m.n} != n_vars {cs.n_vars}")
 
 
-def _constraint_ok(cs: ConstraintSet, j: int, x: np.ndarray) -> bool:
-    if j < cs.n_clauses:
-        return any(
-            bool(x[lit.variable_index]) != lit.negated
-            for lit in cs.clauses[j].literals
-        )
-    group = cs.exactly_one_groups[j - cs.n_clauses]
-    return int(sum(int(x[v]) for v in group)) == 1
-
-
-def _site_conditional(cs, touching, x, i, p_zero_i) -> float | None:
-    """P(x_i = 1 | rest) for one Gibbs site, or None when both values are
-    infeasible (the current value is then kept)."""
-    old = x[i]
-    x[i] = 0
-    ok0 = all(_constraint_ok(cs, j, x) for j in touching[i])
-    x[i] = 1
-    ok1 = all(_constraint_ok(cs, j, x) for j in touching[i])
-    x[i] = old
-    if ok0 and ok1:
-        return 1.0 - p_zero_i
-    if ok1:
-        return 1.0
-    if ok0:
-        return 0.0
-    return None
-
-
 def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=None):
     """Single-site Gibbs chain over the satisfying region.
 
-    Each sweep visits every variable once and redraws it from its conditional
-    given the rest, with candidate values that would violate a constraint
-    getting zero weight; if both values are infeasible the current value is
-    kept. The chain starts from `init` (which must satisfy all constraints)
-    or from one nelson_sample draw, runs gibbs_burn_in sweeps, then emits a
-    row every gibbs_thinning sweeps until batch_size rows are collected.
+    Each sweep visits every variable once, in index order, and redraws it
+    from its conditional given the rest, with candidate values that would
+    violate a constraint getting zero weight. The chain starts from `init`
+    (which must satisfy all constraints) or from one valid nelson_sample
+    draw, and every update keeps it valid, so a site's current value is
+    always feasible. It runs gibbs_burn_in sweeps, then emits a row every
+    gibbs_thinning sweeps until batch_size rows are collected. Sweeps run
+    level by level, see _ConstraintKernel.gibbs_levels.
     """
     _check_shapes(cs, m)
     n = cs.n_vars
+    kernel = _ConstraintKernel(cs)
     if init is None:
         init_cfg = replace(
             cfg,
@@ -251,20 +259,16 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
             raise SamplerExhaustedError(
                 "no valid Gibbs initialization within t_tryout rounds"
             )
-        x = seed_batch.rows[0].copy()
+        x = seed_batch.rows[0].astype(bool)
     else:
-        x = np.asarray(init, dtype=np.uint8).reshape(-1).copy()
+        x = np.asarray(init, dtype=np.uint8).reshape(-1).astype(bool)
         if x.shape[0] != n:
             raise ValueError("init length mismatch")
-        if violated_constraints(cs, x):
+        if kernel.violations(x[None]).any():
             raise ValueError("init must satisfy all constraints")
 
-    p_zero = marginals(m)
-    touching = [[] for _ in range(n)]
-    for j in range(cs.n_constraints):
-        for v in cs.constraint_variables(j):
-            touching[v].append(j)
-
+    p_one = 1.0 - marginals(m)
+    levels = kernel.gibbs_levels()
     chain_seed = fold_seed(cfg.seed, "gibbs-chain")
     total_sweeps = cfg.gibbs_burn_in + cfg.gibbs_thinning * cfg.batch_size
     rows = np.empty((cfg.batch_size, n), dtype=np.uint8)
@@ -275,13 +279,12 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
         sweeps = np.arange(
             chunk_start + 1, min(chunk_start + sweep_chunk, total_sweeps) + 1
         )
-        U = uniform_field(chain_seed, sweeps, 0, n)
+        draws_one = uniform_field(chain_seed, sweeps, 0, n) < p_one
         for local, sweep in enumerate(sweeps):
-            for i in range(n):
-                p_one = _site_conditional(cs, touching, x, i, p_zero[i])
-                if p_one is None:
-                    continue
-                x[i] = 1 if U[local, i] < p_one else 0
+            for members, slots, neg, other, lo, hi in levels:
+                count = ((x[slots] ^ neg) & other).sum(axis=-1)
+                ok0, ok1 = ((lo <= count) & (count <= hi)).all(axis=-1)
+                x[members] = ~ok0 | (ok1 & draws_one[local, members])
             if sweep > cfg.gibbs_burn_in and (sweep - cfg.gibbs_burn_in) % cfg.gibbs_thinning == 0:
                 rows[emitted] = x
                 rounds[emitted] = sweep

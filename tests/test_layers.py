@@ -2,7 +2,8 @@
 
 The samplers run on their own index-list kernel, so they must not reach
 back to the paper's tensor formulation (`tensors`) or up to the trainer
-(`learn`); `metrics` sits below the trainer as well. The reference oracle
+(`learn`), and only the kernel's constructor reads the constraint objects;
+`metrics` sits below the trainer as well. The reference oracle
 stays independent of the sampler kernel it checks and of the trainer, and
 `cnf` is the bottom layer: it imports no other cmrf module.
 """
@@ -54,3 +55,25 @@ def test_lower_layers_do_not_import_upward(module, forbidden):
 
 def test_cnf_is_the_bottom_layer():
     assert _package_imports("cnf") == set()
+
+
+def _attribute_readers(module: str, attrs: set[str]) -> set[str]:
+    """Qualified names of the functions in `module` that read any of `attrs`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in attrs:
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_only_the_kernel_reads_constraints():
+    readers = _attribute_readers("samplers", {"clauses", "exactly_one_groups", "literals"})
+    assert readers == {"_ConstraintKernel.__init__"}

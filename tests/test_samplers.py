@@ -14,13 +14,13 @@ from cmrf.cnf import (
     violated_constraints,
     violation_matrix,
 )
-from cmrf.model import ModelParams
+from cmrf.model import ModelParams, marginals
 from cmrf.oracle import empirical_table, exact_distribution, tv_distance
+from cmrf.rng import fold_seed, uniform_field
 from cmrf.samplers import (
     SamplerConfig,
     SamplerExhaustedError,
     _ConstraintKernel,
-    _site_conditional,
     gibbs_sample,
     moser_tardos_sample,
     nelson_sample,
@@ -123,6 +123,81 @@ def test_kernel_matches_reference(case):
     assert np.array_equal(kernel.union_mask(S), union)
     chosen = np.array([np.nonzero(s)[0][0] for s in S if s.any()], dtype=np.intp)
     assert np.array_equal(kernel.single_mask(chosen), _support_rows(cs, chosen))
+
+
+@st.composite
+def gibbs_chains(draw):
+    """A mixed clause/group set (n <= 8) built to hold at a drawn start x0,
+    with weights and a seed for a chain from x0."""
+    n = draw(st.integers(1, 8))
+    x0 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    clauses = []
+    for _ in range(draw(st.integers(0, 4))):
+        variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        lits = [Literal(v, draw(st.booleans())) for v in variables]
+        if all(x0[lit.variable_index] == lit.negated for lit in lits):
+            lits[0] = Literal(lits[0].variable_index, not lits[0].negated)
+        clauses.append(Clause(tuple(lits)))
+    ones, zeros = np.flatnonzero(x0).tolist(), np.flatnonzero(x0 == 0).tolist()
+    groups = []
+    for _ in range(draw(st.integers(0, 3)) if ones else 0):
+        rest = draw(st.frozensets(st.sampled_from(zeros))) if zeros else frozenset()
+        groups.append(rest | {draw(st.sampled_from(ones))})
+    cs = ConstraintSet(n_vars=n, clauses=tuple(clauses), exactly_one_groups=tuple(groups))
+    theta = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return cs, theta, x0, draw(st.integers(0, 2**32))
+
+
+def _site_by_site_gibbs(cs, m, cfg, x0):
+    """The chain gibbs_sample must reproduce: visit sites in index order and
+    test both values of each against the reference evaluator."""
+    n = cs.n_vars
+    total = cfg.gibbs_burn_in + cfg.gibbs_thinning * cfg.batch_size
+    U = uniform_field(fold_seed(cfg.seed, "gibbs-chain"), np.arange(1, total + 1), 0, n)
+    p_zero = marginals(m)
+    x = x0.copy()
+    rows, rounds = [], []
+    for sweep in range(1, total + 1):
+        for i in range(n):
+            both = np.repeat(x[None], 2, axis=0)
+            both[:, i] = (0, 1)
+            ok0, ok1 = ~violation_matrix(cs, both).any(axis=1)
+            assert (ok0, ok1)[x[i]]  # the current value is always feasible
+            p_one = 1.0 - p_zero[i] if ok0 and ok1 else float(ok1)
+            x[i] = U[sweep - 1, i] < p_one
+        if sweep > cfg.gibbs_burn_in and (sweep - cfg.gibbs_burn_in) % cfg.gibbs_thinning == 0:
+            rows.append(x.copy())
+            rounds.append(sweep)
+    return np.array(rows, dtype=np.uint8), np.array(rounds, dtype=np.int64)
+
+
+@given(gibbs_chains())
+@settings(max_examples=150, deadline=None)
+@example((ConstraintSet(n_vars=3), [0.5, -1.0, 0.0], np.array([1, 0, 1], dtype=np.uint8), 3))
+@example((  # variable 2 is in no constraint
+    ConstraintSet(n_vars=3, clauses=(clause(1, -2),)),
+    [0.0, 1.0, -1.0], np.array([0, 0, 1], dtype=np.uint8), 4,
+))
+@example((  # a size-1 group pins its member
+    ConstraintSet(n_vars=2, clauses=(clause(-1, 2),), exactly_one_groups=(frozenset({1}),)),
+    [0.0, 0.0], np.array([1, 1], dtype=np.uint8), 5,
+))
+@example((  # a clause and a group sharing variables
+    ConstraintSet(
+        n_vars=4,
+        clauses=(clause(1, -2, 4), clause(-3, 4)),
+        exactly_one_groups=(frozenset({0, 1, 2}),),
+    ),
+    [1.0, -0.5, 0.2, 0.0], np.array([1, 0, 0, 0], dtype=np.uint8), 6,
+))
+def test_gibbs_matches_site_by_site_scan(case):
+    cs, theta, x0, seed = case
+    m = ModelParams(np.asarray(theta))
+    cfg = SamplerConfig(batch_size=6, seed=seed, gibbs_burn_in=3, gibbs_thinning=2)
+    batch, stats = gibbs_sample(cs, m, cfg, init=x0)
+    rows, rounds = _site_by_site_gibbs(cs, m, cfg, x0)
+    assert np.array_equal(batch.rows, rows)
+    assert np.array_equal(stats.rounds_per_row, rounds)
 
 
 class TestMoserTardos:
@@ -246,13 +321,6 @@ class TestGibbs:
         cfg = SamplerConfig(batch_size=500, seed=7, gibbs_burn_in=10, gibbs_thinning=2)
         batch, _ = gibbs_sample(toy_cs, toy_uniform, cfg)
         assert satisfies_all(toy_cs, batch.rows).all()
-
-    def test_blocked_site_keeps_value(self):
-        cs = ConstraintSet(n_vars=2, clauses=(clause(1), clause(-1)))
-        x = np.array([1, 0], dtype=np.uint8)
-        touching = [[0, 1], []]
-        assert _site_conditional(cs, touching, x, 0, 0.5) is None
-        assert x[0] == 1  # probe leaves the assignment untouched
 
     def test_invalid_init_rejected(self, toy_cs, toy_uniform):
         with pytest.raises(ValueError, match="satisfy"):
