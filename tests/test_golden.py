@@ -83,7 +83,7 @@ def _gibbs_chain():
 
 
 def _gibbs_mixed_chain():
-    # Clauses share variables with every group, yet the chain still moves:
+    # Clauses share variables with two of the groups, yet the chain moves:
     # the group members stay frozen, the free variables do not.
     cs = ConstraintSet(
         n_vars=12,
