@@ -237,29 +237,24 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
     Each sweep visits every variable once, in index order, and redraws it
     from its conditional given the rest, with candidate values that would
     violate a constraint getting zero weight. The chain starts from `init`
-    (which must satisfy all constraints) or from one valid nelson_sample
-    draw, and every update keeps it valid, so a site's current value is
-    always feasible. It runs gibbs_burn_in sweeps, then emits a row every
-    gibbs_thinning sweeps until batch_size rows are collected. Sweeps run
-    level by level, see _ConstraintKernel.gibbs_levels.
+    (which must satisfy all constraints) or the first valid row of a
+    _RETRY_BATCHES-row nelson_sample batch; every update keeps it valid,
+    so a site's current value is always feasible. It runs gibbs_burn_in
+    sweeps, then emits a row every gibbs_thinning sweeps until batch_size
+    rows are collected. Sweeps run level by level; see _ConstraintKernel.gibbs_levels.
     """
     _check_shapes(cs, m)
     n = cs.n_vars
     kernel = _ConstraintKernel(cs)
     if init is None:
-        init_cfg = replace(
-            cfg,
-            batch_size=1,
-            record=False,
-            row_offset=0,
-            seed=fold_seed(cfg.seed, "gibbs-init"),
-        )
-        seed_batch, _ = nelson_sample(cs, m, init_cfg)
-        if not seed_batch.valid_flags[0]:
+        init_cfg = replace(cfg, batch_size=_RETRY_BATCHES, record=False, row_offset=0,
+                           seed=fold_seed(cfg.seed, "gibbs-init"))
+        starts, _ = nelson_sample(cs, m, init_cfg)
+        if not starts.valid_flags.any():
             raise SamplerExhaustedError(
                 "no valid Gibbs initialization within t_tryout rounds"
             )
-        x = seed_batch.rows[0].astype(bool)
+        x = starts.rows[np.argmax(starts.valid_flags)].astype(bool)
     else:
         x = np.asarray(init, dtype=np.uint8).reshape(-1).astype(bool)
         if x.shape[0] != n:
@@ -299,7 +294,7 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
     return batch, stats
 
 
-_RETRY_BATCHES = 10  # sampler batches draw_valid_rows tries before giving up
+_RETRY_BATCHES = 10  # batches draw_valid_rows tries; also the rows a Gibbs start draws
 
 SAMPLERS = {
     "nelson": nelson_sample,
