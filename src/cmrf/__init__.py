@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .cnf import (
     Clause,
     ConstraintSet,
+    Dataset,
     DependencyGraph,
     Literal,
     build_dependency_graph,
@@ -22,7 +23,7 @@ from .cnf import (
     parse_dimacs,
     violated_constraints,
 )
-from .learn import Dataset, TrainConfig, cd_step, neg_log_likelihood, train
+from .learn import TrainConfig, cd_step, neg_log_likelihood, train
 from .metrics import grad_error, map_at_10, resample_stats, validity
 from .model import FactorSpec, ModelParams, marginals, pairwise_to_single, potential
 from .oracle import (

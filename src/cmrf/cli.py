@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import DimacsError, load_constraints
-from .learn import Dataset, TrainConfig, save_trace_csv, train
+from .cnf import Dataset, DimacsError, encode_rows, load_constraints
+from .learn import TrainConfig, save_trace_csv, train
 from .metrics import MetricReport, grad_error, map_at_10, resample_stats, save_histogram_csv
 from .model import ModelParams, load_model, save_model
 from .oracle import (
@@ -58,10 +58,6 @@ class _Parser(argparse.ArgumentParser):
 class RunPlan:
     command: str
     options: dict
-
-    @property
-    def seed(self) -> int:
-        return self.options["seed"]
 
 
 def _build_parser() -> _Parser:
@@ -178,19 +174,6 @@ def _run_gen(plan: RunPlan, outdir: Path) -> int:
 # Rows per sampler call and per write in `sample`. Memory follows this, not
 # --n: a split batch matches the whole batch bit for bit (row_offset).
 _CHUNK_ROWS = 4096
-_INVALID_LINE_END = np.frombuffer(b" INVALID\n", dtype=np.uint8)
-
-
-def _encode_rows(rows: np.ndarray, valid: np.ndarray) -> bytes:
-    """samples.txt lines for a block of rows: the bits as ASCII digits, then
-    ' INVALID' on invalid rows, then a newline."""
-    b, n = rows.shape
-    buf = np.empty((b, n + _INVALID_LINE_END.size), dtype=np.uint8)
-    np.add(rows, ord("0"), out=buf[:, :n])
-    buf[:, n:] = _INVALID_LINE_END
-    buf[valid, n] = ord("\n")
-    line_len = np.where(valid, n + 1, buf.shape[1])
-    return buf[np.arange(buf.shape[1]) < line_len[:, None]].tobytes()
 
 
 def _write_stats(path: Path, rounds: np.ndarray, tally: np.ndarray, exhausted: int) -> None:
@@ -229,7 +212,7 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
             size = min(chunk, n - start)
             batch, stats = SAMPLERS[kind](
                 cs, theta, replace(cfg, batch_size=size, row_offset=start))
-            fh.write(_encode_rows(batch.rows, batch.valid_flags))
+            fh.write(encode_rows(batch.rows, batch.valid_flags))
             rounds[start:start + size] = stats.rounds_per_row
             tally += stats.per_constraint_resamples
             exhausted += stats.exhausted

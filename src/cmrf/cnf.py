@@ -1,6 +1,7 @@
 """Constraint sets over Boolean variables: CNF clauses plus exactly-one groups.
 
-Holds the DIMACS parser/serializer, reference constraint evaluation, the
+Holds the DIMACS parser/serializer, the assignment-row text codec and the
+`Dataset` of assignment rows, reference constraint evaluation, the
 dependency graph over constraints, and the extremality check that decides
 whether the partial-rejection sampler is exact on a given instance; that
 check decides each adjacent pair of constraints in closed form, without
@@ -224,6 +225,78 @@ def violated_constraints(cs: ConstraintSet, x) -> set[int]:
 def satisfies_all(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
     """Per row of a (rows, n) 0/1 matrix: does it satisfy every constraint?"""
     return ~violation_matrix(cs, X).any(axis=1)
+
+
+_INVALID_LINE_END = np.frombuffer(b" INVALID\n", dtype=np.uint8)
+
+
+def encode_rows(rows, valid=None) -> bytes:
+    """Text lines for a (b, n) 0/1 matrix: the bits as ASCII digits, then
+    ' INVALID' on rows whose `valid` flag is False, then a newline.
+    valid=None means every row is valid."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    b, n = rows.shape
+    valid = np.ones(b, dtype=bool) if valid is None else valid
+    buf = np.empty((b, n + _INVALID_LINE_END.size), dtype=np.uint8)
+    np.add(rows, ord("0"), out=buf[:, :n])
+    buf[:, n:] = _INVALID_LINE_END
+    buf[valid, n] = ord("\n")
+    line_len = np.where(valid, n + 1, buf.shape[1])
+    return buf[np.arange(buf.shape[1]) < line_len[:, None]].tobytes()
+
+
+def row_keys(rows) -> list[str]:
+    """One '0'/'1' string per row of a (b, n) 0/1 matrix ('' when n = 0)."""
+    return encode_rows(rows).decode("ascii").splitlines()
+
+
+@dataclass
+class Dataset:
+    assignments: np.ndarray  # (N, n) uint8
+    n_vars: int
+
+    def __post_init__(self):
+        self.assignments = np.asarray(self.assignments, dtype=np.uint8)
+        if self.assignments.ndim != 2 or self.assignments.shape[1] != self.n_vars:
+            raise ValueError("assignments must be an (N, n_vars) matrix")
+
+    def __len__(self) -> int:
+        return self.assignments.shape[0]
+
+    @classmethod
+    def load(cls, path, constraint_set: ConstraintSet | None = None) -> "Dataset":
+        """Read one '0'/'1' bitstring per line; optionally validate every row."""
+        lines = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if set(line) - {"0", "1"}:
+                    raise ValueError(f"line {line_no}: not a bitstring: {line!r}")
+                lines.append(line)
+        if not lines:
+            raise ValueError("empty dataset file")
+        widths = {len(line) for line in lines}
+        if len(widths) != 1:
+            raise ValueError("inconsistent bitstring widths")
+        bits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8) - ord("0")
+        ds = cls(bits.reshape(len(lines), -1), n_vars=widths.pop())
+        if constraint_set is not None:
+            ds.validate(constraint_set)
+        return ds
+
+    def save(self, path) -> None:
+        with open(path, "wb") as fh:
+            fh.write(encode_rows(self.assignments))
+
+    def validate(self, cs: ConstraintSet) -> None:
+        if self.n_vars != cs.n_vars:
+            raise ValueError("dataset width does not match constraint set")
+        ok = satisfies_all(cs, self.assignments)
+        if not ok.all():
+            bad = int(np.nonzero(~ok)[0][0])
+            raise ValueError(f"dataset row {bad} violates the constraints")
 
 
 def build_dependency_graph(cs: ConstraintSet) -> DependencyGraph:

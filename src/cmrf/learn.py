@@ -16,60 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import ConstraintSet, satisfies_all
+from .cnf import ConstraintSet, Dataset
 from .model import ModelParams, potential_batch
 from .oracle import ENUMERATION_CAP, exact_distribution, exact_grad_log_partition
 from .rng import Stream, fold_seed
 from .samplers import draw_valid_rows
-
-
-@dataclass
-class Dataset:
-    assignments: np.ndarray  # (N, n) uint8
-    n_vars: int
-
-    def __post_init__(self):
-        self.assignments = np.asarray(self.assignments, dtype=np.uint8)
-        if self.assignments.ndim != 2 or self.assignments.shape[1] != self.n_vars:
-            raise ValueError("assignments must be an (N, n_vars) matrix")
-
-    def __len__(self) -> int:
-        return self.assignments.shape[0]
-
-    @classmethod
-    def load(cls, path, constraint_set: ConstraintSet | None = None) -> "Dataset":
-        """Read one '0'/'1' bitstring per line; optionally validate every row."""
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if set(line) - {"0", "1"}:
-                    raise ValueError(f"line {line_no}: not a bitstring: {line!r}")
-                rows.append([int(ch) for ch in line])
-        if not rows:
-            raise ValueError("empty dataset file")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValueError("inconsistent bitstring widths")
-        ds = cls(np.asarray(rows, dtype=np.uint8), n_vars=widths.pop())
-        if constraint_set is not None:
-            ds.validate(constraint_set)
-        return ds
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.assignments:
-                fh.write("".join(map(str, row)) + "\n")
-
-    def validate(self, cs: ConstraintSet) -> None:
-        if self.n_vars != cs.n_vars:
-            raise ValueError("dataset width does not match constraint set")
-        ok = satisfies_all(cs, self.assignments)
-        if not ok.all():
-            bad = int(np.nonzero(~ok)[0][0])
-            raise ValueError(f"dataset row {bad} violates the constraints")
 
 
 @dataclass

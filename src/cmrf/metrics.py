@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnf import ConstraintSet, satisfies_all
+from .cnf import ConstraintSet, row_keys, satisfies_all
 from .model import ModelParams, potential
 from .oracle import exact_grad_log_partition
 from .samplers import AssignmentBatch, SamplerStats, draw_valid_rows
@@ -43,10 +43,6 @@ def validity(batch: AssignmentBatch, cs: ConstraintSet) -> float:
     return float(satisfies_all(cs, batch.rows).mean())
 
 
-def _bitstring(row) -> str:
-    return "".join(str(int(v)) for v in row)
-
-
 def map_at_10(theta: ModelParams, preferred, unseen) -> float:
     """Mean averaged precision over the top 10 by potential, as a percentage.
 
@@ -54,10 +50,11 @@ def map_at_10(theta: ModelParams, preferred, unseen) -> float:
     bitstring, descending), then averages precision-at-k for k = 1..10; 100
     means the entire top 10 is preferred.
     """
-    preferred_keys = {_bitstring(row) for row in preferred}
-    pool: dict[str, np.ndarray] = {}
-    for row in list(preferred) + list(unseen):
-        pool.setdefault(_bitstring(row), np.asarray(row, dtype=np.uint8))
+    both = np.concatenate([np.asarray(rows, dtype=np.uint8).reshape(len(rows), theta.n)
+                           for rows in (preferred, unseen)])
+    keys = row_keys(both)
+    preferred_keys = set(keys[:len(preferred)])
+    pool = dict(zip(keys, both))  # equal keys are equal rows
     if not preferred_keys or len(pool) == len(preferred_keys):
         raise ValueError("both assignment sets must be nonempty")
     if len(pool) < 10:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import ConstraintSet, violation_matrix
+from .cnf import ConstraintSet, row_keys, violation_matrix
 from .model import ModelParams, marginals
 
 ENUMERATION_CAP = 25
@@ -40,10 +40,7 @@ class ExactDistribution:
     log_partition: float
 
     def prob_table(self) -> dict[str, float]:
-        return {
-            "".join(map(str, row)): float(p)
-            for row, p in zip(self.support, self.probabilities)
-        }
+        return dict(zip(row_keys(self.support), self.probabilities.tolist()))
 
 
 @dataclass
@@ -62,15 +59,14 @@ def _check_cap(cs: ConstraintSet, limit: int) -> None:
 
 
 def _chunks(n: int):
-    """Yield (codes, bits) covering 0..2^n-1; variable i sits at bit n-1-i,
-    so ascending code order equals lexicographic bitstring order."""
+    """Yield (rows, n) 0/1 blocks of the codes 0..2^n-1 in ascending order;
+    variable i sits at bit n-1-i, so the rows come in lexicographic order."""
     total = 1 << n
     step = min(total, 1 << _CHUNK_BITS)
     shifts = np.array([n - 1 - i for i in range(n)], dtype=np.uint64)
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total), dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-        yield codes, bits
+        yield ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
 
 
 def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
@@ -84,7 +80,7 @@ def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
         raise ValueError("theta length does not match n_vars")
     support_chunks = []
     pot_chunks = []
-    for _, bits in _chunks(cs.n_vars):
+    for bits in _chunks(cs.n_vars):
         valid = ~violation_matrix(cs, bits).any(axis=1)
         if valid.any():
             kept = bits[valid]
@@ -127,7 +123,7 @@ def expected_resamples(cs: ConstraintSet, m: ModelParams) -> ResampleExpectation
         raise ValueError("theta length does not match n_vars")
     q_empty = 0.0
     q_single = np.zeros(cs.n_constraints)
-    for _, bits in _chunks(cs.n_vars):
+    for bits in _chunks(cs.n_vars):
         weights = product_measure_weights(m, bits)
         viol = violation_matrix(cs, bits)
         counts = viol.sum(axis=1)
@@ -150,7 +146,7 @@ def violation_pattern_probs(cs: ConstraintSet, m: ModelParams) -> dict[frozenset
     """Product-measure probability of every violated-constraint pattern."""
     _check_cap(cs, _PATTERN_CAP)
     out: dict[frozenset[int], float] = {}
-    for _, bits in _chunks(cs.n_vars):
+    for bits in _chunks(cs.n_vars):
         weights = product_measure_weights(m, bits)
         viol = violation_matrix(cs, bits)
         for w, row in zip(weights, viol):
@@ -174,12 +170,14 @@ def tv_distance(p: dict, q: dict) -> float:
 
 
 def empirical_table(rows: np.ndarray) -> dict[str, float]:
-    """Frequency table of a (rows, n) 0/1 matrix keyed by bitstring."""
+    """Frequency table of a (rows, n) 0/1 matrix keyed by bitstring, in
+    lexicographic key order; only the distinct rows are keyed."""
     rows = np.asarray(rows, dtype=np.uint8)
-    n = rows.shape[1]
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    codes = rows.astype(np.int64) @ weights
-    counts = np.bincount(codes, minlength=1 << n)
-    total = rows.shape[0]
-    fmt = "{:0" + str(n) + "b}"
-    return {fmt.format(c): counts[c] / total for c in np.nonzero(counts)[0]}
+    if rows.size == 0:  # no rows, or every row is the empty key
+        return {"": 1.0} if len(rows) else {}
+    packed = np.packbits(rows, axis=1)  # sorts like the bits, 8 to a byte
+    order = np.lexsort(packed.T[::-1])
+    packed = packed[order]
+    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
+    counts = np.diff(starts, append=len(order))
+    return dict(zip(row_keys(rows[order[starts]]), counts / len(order)))

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnf import Clause, ConstraintSet, Literal, emit_dimacs
-from .learn import Dataset
+from .cnf import Clause, ConstraintSet, Dataset, Literal, emit_dimacs
 from .model import ModelParams
 from .rng import Stream, fold_seed
 from .samplers import draw_valid_rows

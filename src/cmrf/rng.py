@@ -97,8 +97,5 @@ class Stream:
         """k integers uniform over [0, bound)."""
         return np.minimum((self.uniforms(k) * bound).astype(np.int64), bound - 1)
 
-    def coin(self, p: float = 0.5) -> bool:
-        return self.uniform() < p
-
     def permutation(self, n: int) -> np.ndarray:
         return np.argsort(self.uniforms(n), kind="stable")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cmrf
-from cmrf import cli, learn
+from cmrf import cli
 from cmrf.cli import (
     EXIT_CAP,
     EXIT_EXHAUSTED,
@@ -42,7 +42,7 @@ class TestBuildPlan:
         )
         assert plan.command == "sample"
         assert plan.options["tryout"] == 1000
-        assert plan.seed == 0
+        assert plan.options["seed"] == 0
         assert plan.options["out"] == "."
 
     def test_train_missing_data(self):
@@ -281,7 +281,7 @@ class TestTrainEval:
             calls.append(len(X))
             return satisfies_all(cs, X)
 
-        monkeypatch.setattr(learn, "satisfies_all", counting)
+        monkeypatch.setattr(cmrf.cnf, "satisfies_all", counting)
         assert run(["train", "--cnf", str(cnf), "--data", str(data), "--m", "20",
                     "--iters", "3", "--nll-every", "1", "--out", str(tmp_path / "o")]) == 0
         assert calls == [3]

@@ -1,27 +1,35 @@
 import itertools
+import tempfile
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmrf.cnf import (
     Clause,
     ConstraintSet,
+    Dataset,
     DimacsError,
     Literal,
     build_dependency_graph,
     check_extremal,
     clause,
     emit_dimacs,
+    encode_rows,
     gamma,
     load_constraints,
     parse_dimacs,
+    row_keys,
     satisfies_all,
     violated_constraints,
     violation_matrix,
 )
+from cmrf.oracle import empirical_table
 from cmrf.problems import gen_routes, gen_sinkfree
 
 import corpus
@@ -314,3 +322,55 @@ def test_round_trip_identity_on_random_formulas():
 def test_sinkfree_generations_are_extremal():
     for name, cs in corpus.sinkfree_corpus():
         assert check_extremal(cs) == (True, None), name
+
+
+@st.composite
+def flagged_bit_matrices(draw):
+    """A (b, n) 0/1 matrix, b and n possibly 0, with one validity flag per row."""
+    b, n = draw(st.integers(0, 12)), draw(st.integers(0, 10))
+    rows = draw(arrays(np.uint8, (b, n), elements=st.integers(0, 1)))
+    valid = draw(arrays(np.bool_, (b,)))
+    return rows, valid
+
+
+def _counter_table(keys):
+    """empirical_table's reference: frequencies by key, keys sorted."""
+    return {key: count / len(keys) for key, count in sorted(Counter(keys).items())}
+
+
+class TestRowCodec:
+    @given(flagged_bit_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_reference(self, case):
+        rows, valid = case
+        keys = ["".join(map(str, row)) for row in rows]
+        assert row_keys(rows) == keys
+        lines = [key + ("" if ok else " INVALID") + "\n" for key, ok in zip(keys, valid)]
+        assert encode_rows(rows, valid) == "".join(lines).encode("ascii")
+        assert encode_rows(rows) == "".join(key + "\n" for key in keys).encode("ascii")
+        assert list(empirical_table(rows).items()) == list(_counter_table(keys).items())
+        kept = rows[valid]
+        if kept.size:  # a dataset file holds at least one nonempty row
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "data.txt"
+                Dataset(kept, n_vars=kept.shape[1]).save(path)
+                assert np.array_equal(Dataset.load(path).assignments, kept)
+
+    @pytest.mark.parametrize("n", [64, 299])
+    def test_empirical_table_on_wide_rows(self, n):
+        rows = np.random.default_rng(n).integers(0, 2, size=(6, n), dtype=np.uint8)
+        rows = np.concatenate([rows, rows[[4, 1, 4]]])
+        table = empirical_table(rows)
+        assert list(table.items()) == list(_counter_table(row_keys(rows)).items())
+        assert len(table) == 6
+
+    def test_load_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("01\n\n0x\n")
+        with pytest.raises(ValueError, match="line 3: not a bitstring"):
+            Dataset.load(path)
+
+    def test_load_crlf(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"01\r\n11\r\n")
+        assert Dataset.load(path).assignments.tolist() == [[0, 1], [1, 1]]

@@ -3,7 +3,7 @@
 The samplers run on their own index-list kernel, so they must not reach
 back to the paper's tensor formulation (`tensors`) or up to the trainer
 (`learn`), and only the kernel's constructor reads the constraint objects;
-`metrics` sits below the trainer as well. The reference oracle
+`metrics` and `problems` sit below the trainer as well. The reference oracle
 stays independent of the sampler kernel it checks and of the trainer, and
 `cnf` is the bottom layer: it imports no other cmrf module.
 """
@@ -46,6 +46,7 @@ def test_import_scan_is_not_vacuous():
     [
         ("samplers", {"tensors", "learn"}),
         ("metrics", {"learn"}),
+        ("problems", {"learn"}),
         ("oracle", {"samplers", "learn"}),
     ],
 )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmrf import learn
+from cmrf import cnf
 from cmrf.cnf import ConstraintSet, clause, satisfies_all
 from cmrf.learn import (
     Dataset,
@@ -128,7 +128,7 @@ class TestTrain:
             calls.append(len(X))
             return satisfies_all(cs, X)
 
-        monkeypatch.setattr(learn, "satisfies_all", counting)
+        monkeypatch.setattr(cnf, "satisfies_all", counting)
         ds = Dataset(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8), n_vars=3)
         cfg = TrainConfig(m=20, t_max=5, sampler_kind="nelson", seed=0, nll_every=1)
         _, trace = train(ds, toy_cs, cfg, ModelParams(np.zeros(3)))
