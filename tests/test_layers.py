@@ -46,8 +46,8 @@ def test_import_scan_is_not_vacuous():
     [
         ("samplers", {"tensors", "learn"}),
         ("metrics", {"learn"}),
-        ("problems", {"learn"}),
         ("oracle", {"samplers", "learn"}),
+        ("problems", {"learn"}),
     ],
 )
 def test_lower_layers_do_not_import_upward(module, forbidden):
