@@ -7,6 +7,10 @@ change of behaviour, not an implementation detail. Floats that pass through
 BLAS or transcendental functions (NLL, gradient norm) are pinned at the
 12 significant digits `save_trace_csv` writes; theta is pinned bit for bit.
 
+The generator cases pin the DIMACS text and sidecar JSON that
+`save_instance` writes, and `fold_seed` values, so the instances every
+other golden starts from cannot drift either.
+
 The CLI cases pin the files `cmrf sample` writes (`samples.txt`,
 `stats.json`, `histogram.csv`), so a writer that changes the file format
 fails here even when the sampled arrays are unchanged.
@@ -23,7 +27,8 @@ from cmrf.cli import run
 from cmrf.cnf import ConstraintSet, clause
 from cmrf.learn import TrainConfig, train
 from cmrf.model import ModelParams, save_model
-from cmrf.problems import gen_routes, gen_sinkfree, gen_training_set, save_instance
+from cmrf.problems import gen_ksat, gen_routes, gen_sinkfree, gen_training_set, save_instance
+from cmrf.rng import fold_seed
 from cmrf.samplers import SamplerConfig, gibbs_sample, moser_tardos_sample, nelson_sample
 
 import corpus
@@ -208,3 +213,48 @@ CLI_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_golden_fingerprint(name, tmp_path):
     assert CLI_CASES[name](tmp_path) == CLI_GOLDEN[name]
+
+
+def _instance_files(gen, *args, **kwargs):
+    def case(tmp_path):
+        save_instance(gen(*args, **kwargs), tmp_path / "i.cnf", tmp_path / "i.json")
+        return _digest((tmp_path / "i.cnf").read_text(), (tmp_path / "i.json").read_text())
+
+    return case
+
+
+GENERATOR_CASES = {
+    "ksat_20_20_3": _instance_files(gen_ksat, 20, 20, 3, seed=0),
+    "ksat_5_3_5": _instance_files(gen_ksat, 5, 3, 5, seed=1),  # K = n
+    "sinkfree_80": _instance_files(gen_sinkfree, 80, 0.1, seed=1),
+    "sinkfree_6": _instance_files(gen_sinkfree, 6, 0.3, seed=0),  # 4 graph draws
+    "routes_6": _instance_files(gen_routes, 6, seed=3),
+}
+
+GENERATOR_GOLDEN = {
+    "ksat_20_20_3": "4af78d333f4e590810deedd6b2b1a59d0b08daa41015df9289a96467fdc63177",
+    "ksat_5_3_5": "972aa8a329128fd10b3471163f4ed78df4ba70fb7606d9bafcf5d617db5e685b",
+    "sinkfree_80": "670045f170012c89cf53eb52bbf7057351aef006a66d13a6cce39ceb4f0cb2eb",
+    "sinkfree_6": "06d601c52ca70a3113fbc017d61035a8bc59dca926dda436bb25207671aa7f35",
+    "routes_6": "e06e0ce4f7212f5e192b11bb16607daa072216f6b0726610d0d36940b33cc751",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_generator_golden_fingerprint(name, tmp_path):
+    assert GENERATOR_CASES[name](tmp_path) == GENERATOR_GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "seed, tags, value",
+    [
+        (9, (), 12587370737594032228),
+        (7, ("ksat",), 11073347654237336339),
+        (7, (3,), 7758145696617331093),
+        (7, ("draw", 2), 8180660082593636220),
+        # seed and int tags wrap mod 2**64; a string tag is its UTF-8 bytes
+        (2**64 + 5, (-1, "\u00e9"), 11321475132618634902),
+    ],
+)
+def test_fold_seed_golden(seed, tags, value):
+    assert fold_seed(seed, *tags) == value
