@@ -19,7 +19,7 @@ import numpy as np
 from .cnf import ConstraintSet, Dataset
 from .model import ModelParams, potential_batch
 from .oracle import ENUMERATION_CAP, exact_distribution, exact_grad_log_partition
-from .rng import Stream, fold_seed
+from .rng import fold_seed, uniforms
 from .samplers import draw_valid_rows
 
 
@@ -106,8 +106,8 @@ def train(
         if cfg.sampler_kind == "exact":
             g = exact_grad_log_partition(cs, theta) - data_mean
         else:
-            picker = Stream(fold_seed(cfg.seed, "data", it))
-            data_rows = ds.assignments[picker.integers(cfg.m, n_data)]
+            u = uniforms(fold_seed(cfg.seed, "data", it), np.arange(cfg.m))
+            data_rows = ds.assignments[np.minimum((u * n_data).astype(np.int64), n_data - 1)]
             model_rows = draw_valid_rows(
                 cs,
                 theta,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cnf import Clause, ConstraintSet, Dataset, Literal, emit_dimacs
 from .model import ModelParams
-from .rng import Stream, fold_seed
+from .rng import fold_seed, uniforms
 from .samplers import draw_valid_rows
 
 
@@ -32,31 +32,20 @@ def gen_ksat(n: int, L: int, K: int, seed: int = 0) -> ProblemInstance:
     """L random clauses of exactly K distinct variables, fair-coin polarities."""
     if K > n:
         raise ValueError(f"clause width {K} exceeds variable count {n}")
-    stream = Stream(fold_seed(seed, "ksat"))
-    clauses = []
-    for _ in range(L):
-        variables = stream.permutation(n)[:K]
-        signs = stream.uniforms(K) < 0.5
-        clauses.append(
-            Clause(tuple(Literal(int(v), bool(s)) for v, s in zip(variables, signs)))
-        )
+    # Clause c draws counters c*(n+K) .. (c+1)*(n+K)-1: its variables are the
+    # first K of a stable argsort of n values, its signs the K after them.
+    u = uniforms(fold_seed(seed, "ksat"), np.arange(L * (n + K))).reshape(L, n + K)
+    variables = np.argsort(u[:, :n], axis=1, kind="stable")[:, :K].tolist()
+    signs = (u[:, n:] < 0.5).tolist()
+    clauses = [
+        Clause(tuple(Literal(v, s) for v, s in zip(vs, ss)))
+        for vs, ss in zip(variables, signs)
+    ]
     cs = ConstraintSet(n_vars=n, clauses=tuple(clauses))
     return ProblemInstance(
         constraints=cs,
         metadata={"family": "ksat", "params": {"n": n, "L": L, "K": K, "seed": seed}},
     )
-
-
-def _random_graph(stream: Stream, num_vertices: int, edge_prob: float):
-    edges = []
-    degree = [0] * num_vertices
-    for i in range(num_vertices):
-        for j in range(i + 1, num_vertices):
-            if stream.uniform() < edge_prob:
-                edges.append((i, j))
-                degree[i] += 1
-                degree[j] += 1
-    return edges, min(degree) if num_vertices else 0
 
 
 def gen_sinkfree(num_vertices: int, edge_prob: float = 0.55, seed: int = 0) -> ProblemInstance:
@@ -71,30 +60,31 @@ def gen_sinkfree(num_vertices: int, edge_prob: float = 0.55, seed: int = 0) -> P
     """
     if num_vertices < 2:
         raise ValueError("need at least two vertices")
-    stream = Stream(fold_seed(seed, "sinkfree"))
-    for _ in range(1000):
-        edges, min_degree = _random_graph(stream, num_vertices, edge_prob)
-        if min_degree >= 1:
+    # Graph attempt a draws one uniform per vertex pair, counters a*P ..
+    # (a+1)*P-1, in np.triu_indices order.
+    graph_seed = fold_seed(seed, "sinkfree")
+    pairs = np.stack(np.triu_indices(num_vertices, 1), axis=1)
+    for attempt in range(1000):
+        u = uniforms(graph_seed, attempt * len(pairs) + np.arange(len(pairs)))
+        edges = pairs[u < edge_prob]
+        if np.bincount(edges.ravel(), minlength=num_vertices).min() >= 1:
             break
     else:
         raise RuntimeError("no graph with minimum degree >= 1 in 1000 draws")
 
-    clauses = []
-    for v in range(num_vertices):
-        lits = []
-        for e, (a, b) in enumerate(edges):
-            if v == a:
-                lits.append(Literal(e, negated=False))
-            elif v == b:
-                lits.append(Literal(e, negated=True))
-        clauses.append(Clause(tuple(lits)))
+    edges = edges.tolist()
+    lits = [[] for _ in range(num_vertices)]
+    for e, (a, b) in enumerate(edges):
+        lits[a].append(Literal(e, negated=False))
+        lits[b].append(Literal(e, negated=True))
+    clauses = [Clause(tuple(row)) for row in lits]
     cs = ConstraintSet(n_vars=len(edges), clauses=tuple(clauses))
     return ProblemInstance(
         constraints=cs,
         metadata={
             "family": "sinkfree",
             "params": {"num_vertices": num_vertices, "edge_prob": edge_prob, "seed": seed},
-            "edges": [list(e) for e in edges],
+            "edges": edges,
         },
     )
 
@@ -109,14 +99,13 @@ def gen_routes(num_cities: int, seed: int = 0) -> ProblemInstance:
     """
     if num_cities < 2:
         raise ValueError("need at least two cities")
-    stream = Stream(fold_seed(seed, "routes"))
     var_pairs = [(i, j) for i in range(num_cities) for j in range(num_cities) if i != j]
     var_index = {pair: v for v, pair in enumerate(var_pairs)}
 
+    upper = np.triu_indices(num_cities, 1)
     dist = np.zeros((num_cities, num_cities))
-    for i in range(num_cities):
-        for j in range(i + 1, num_cities):
-            dist[i, j] = dist[j, i] = stream.uniform()
+    dist[upper] = uniforms(fold_seed(seed, "routes"), np.arange(len(upper[0])))
+    dist += dist.T
 
     groups = []
     for i in range(num_cities):
