@@ -117,12 +117,6 @@ class _ConstraintKernel:
         """(rows, n) bool: variable i lies in a constraint that row r violates."""
         return (S[:, self.var_c] & self.var_live).any(axis=-1)
 
-    def single_mask(self, chosen: np.ndarray) -> np.ndarray:
-        """(rows, n) bool: variable i lies in constraint chosen[r]."""
-        mask = np.zeros((chosen.size, self.n), dtype=bool)
-        mask[np.arange(chosen.size)[:, None], self.idx[chosen]] = True
-        return mask
-
     def gibbs_levels(self) -> list[tuple[np.ndarray, ...]]:
         """Plan of an index-order Gibbs sweep that updates a level at a time.
 
@@ -189,13 +183,12 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             rounds[active] = cfg.t_tryout
             break
         S = S[viol_any]
-        if resample_all:
-            tally += S.sum(axis=0)
-            mask = kernel.union_mask(S)
-        else:
-            chosen = np.argmax(S, axis=1)
-            np.add.at(tally, chosen, 1)
-            mask = kernel.single_mask(chosen)
+        if not resample_all:  # keep only each row's lowest-indexed violation
+            first = S.argmax(axis=1)
+            S = np.zeros_like(S)
+            S[np.arange(first.size), first] = True
+        tally += S.sum(axis=0)
+        mask = kernel.union_mask(S)
         draws = (uniform_field(cfg.seed, row_ids[active], t, n) > p_zero).astype(np.uint8)
         X[active] = np.where(mask, draws, X[active])
 

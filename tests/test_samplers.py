@@ -121,8 +121,6 @@ def test_kernel_matches_reference(case):
     assert np.array_equal(kernel.violations(X), S)
     union = np.array([_support_rows(cs, np.nonzero(s)[0]).any(axis=0) for s in S])
     assert np.array_equal(kernel.union_mask(S), union)
-    chosen = np.array([np.nonzero(s)[0][0] for s in S if s.any()], dtype=np.intp)
-    assert np.array_equal(kernel.single_mask(chosen), _support_rows(cs, chosen))
 
 
 @st.composite
