@@ -20,10 +20,6 @@ from .model import ModelParams, marginals
 
 ENUMERATION_CAP = 25
 _CHUNK_BITS = 16
-# violation_pattern_probs keys a dict by every enumerated row in Python, so
-# it stops far below ENUMERATION_CAP.
-_PATTERN_CAP = 12
-
 
 class EnumerationCapError(RuntimeError):
     """An exhaustive enumeration would need more variables than allowed."""
@@ -51,22 +47,26 @@ class ResampleExpectation:
     total_expected: float
 
 
-def _check_cap(cs: ConstraintSet, limit: int) -> None:
-    if cs.n_vars > limit:
-        raise EnumerationCapError(
-            f"{cs.n_vars} variables exceeds enumeration cap {limit}"
-        )
+def _block(cs: ConstraintSet, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows for the codes start..stop-1, variable i at bit n-1-i (so rows
+    come in lexicographic order), and their violation_matrix."""
+    codes = np.arange(start, stop, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(codes, axis=1, count=cs.n_vars, bitorder="little")[:, ::-1]
+    return bits, violation_matrix(cs, bits)
 
 
-def _chunks(n: int):
-    """Yield (rows, n) 0/1 blocks of the codes 0..2^n-1 in ascending order;
-    variable i sits at bit n-1-i, so the rows come in lexicographic order."""
-    total = 1 << n
-    step = min(total, 1 << _CHUNK_BITS)
-    shifts = np.array([n - 1 - i for i in range(n)], dtype=np.uint64)
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.uint64)
-        yield ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+def _enumerate(cs: ConstraintSet, m: ModelParams):
+    """Check the cap and theta's length, then return a generator of _block
+    over all 2^n codes in ascending order. The checks run on the call, not on
+    first iteration. The generator keeps no block; callers delete theirs
+    before asking for the next, so one block is alive at a time."""
+    n = cs.n_vars
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{n} variables exceeds enumeration cap {ENUMERATION_CAP}")
+    if m.n != n:
+        raise ValueError("theta length does not match n_vars")
+    step = 1 << min(n, _CHUNK_BITS)
+    return (_block(cs, start, start + step) for start in range(0, 1 << n, step))
 
 
 def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
@@ -75,21 +75,15 @@ def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
     log_partition is computed with a max-shifted log-sum-exp over the valid
     assignments' potentials.
     """
-    _check_cap(cs, ENUMERATION_CAP)
-    if m.n != cs.n_vars:
-        raise ValueError("theta length does not match n_vars")
-    support_chunks = []
-    pot_chunks = []
-    for bits in _chunks(cs.n_vars):
-        valid = ~violation_matrix(cs, bits).any(axis=1)
-        if valid.any():
-            kept = bits[valid]
-            support_chunks.append(kept)
-            pot_chunks.append(kept.astype(np.float64) @ m.theta)
-    if not support_chunks:
+    support, pots = [], []
+    for bits, viol in _enumerate(cs, m):
+        support.append(bits[~viol.any(axis=1)])
+        pots.append(support[-1].astype(np.float64) @ m.theta)
+        del bits, viol
+    support = np.concatenate(support)
+    if not len(support):
         raise EmptySupportError("constraint set is unsatisfiable")
-    support = np.concatenate(support_chunks, axis=0)
-    pots = np.concatenate(pot_chunks)
+    pots = np.concatenate(pots)
     peak = pots.max()
     log_z = peak + np.log(np.exp(pots - peak).sum())
     probs = np.exp(pots - log_z)
@@ -118,19 +112,16 @@ def expected_resamples(cs: ConstraintSet, m: ModelParams) -> ResampleExpectation
     is; on extremal instances the expected number of resamples of constraint
     j across a full run is q_single[j] / q_empty.
     """
-    _check_cap(cs, ENUMERATION_CAP)
-    if m.n != cs.n_vars:
-        raise ValueError("theta length does not match n_vars")
     q_empty = 0.0
     q_single = np.zeros(cs.n_constraints)
-    for bits in _chunks(cs.n_vars):
+    for bits, viol in _enumerate(cs, m):
         weights = product_measure_weights(m, bits)
-        viol = violation_matrix(cs, bits)
         counts = viol.sum(axis=1)
         q_empty += weights[counts == 0].sum()
         lone = counts == 1
         if lone.any():
             q_single += weights[lone] @ viol[lone]
+        del bits, viol
     if q_empty <= 0.0:
         raise EmptySupportError("no assignment satisfies all constraints")
     per = q_single / q_empty
@@ -144,14 +135,14 @@ def expected_resamples(cs: ConstraintSet, m: ModelParams) -> ResampleExpectation
 
 def violation_pattern_probs(cs: ConstraintSet, m: ModelParams) -> dict[frozenset[int], float]:
     """Product-measure probability of every violated-constraint pattern."""
-    _check_cap(cs, _PATTERN_CAP)
     out: dict[frozenset[int], float] = {}
-    for bits in _chunks(cs.n_vars):
-        weights = product_measure_weights(m, bits)
-        viol = violation_matrix(cs, bits)
-        for w, row in zip(weights, viol):
-            key = frozenset(np.nonzero(row)[0].tolist())
-            out[key] = out.get(key, 0.0) + float(w)
+    for bits, viol in _enumerate(cs, m):
+        patterns, which = np.unique(viol, axis=0, return_inverse=True)
+        sums = np.bincount(which.ravel(), weights=product_measure_weights(m, bits))
+        for row, w in zip(patterns, sums.tolist()):
+            key = frozenset(np.flatnonzero(row).tolist())
+            out[key] = out.get(key, 0.0) + w
+        del bits, viol
     return out
 
 
