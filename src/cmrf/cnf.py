@@ -185,7 +185,7 @@ def load_constraints(cnf_path, groups_path=None) -> ConstraintSet:
                 frozenset(int(v) for v in g) for g in sidecar.get("exactly_one", [])
             )
             cs = replace(cs, exactly_one_groups=groups)
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: not an object
             raise DimacsError(f"bad exactly-one sidecar: {exc}") from exc
     return cs
 

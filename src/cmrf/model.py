@@ -151,9 +151,12 @@ def save_model(m: ModelParams, path) -> None:
 def load_model(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    theta = np.asarray(payload["theta"], dtype=np.float64)
-    if "n" in payload and int(payload["n"]) != theta.shape[0]:
-        raise ValueError("model file n does not match theta length")
+    try:
+        theta = np.asarray(payload["theta"], dtype=np.float64)
+        if "n" in payload and int(payload["n"]) != theta.shape[0]:
+            raise ValueError("model file n does not match theta length")
+    except (TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f'model file is not {{"theta": [numbers]}}: {exc!r}') from exc
     return ModelParams(theta)
 
 

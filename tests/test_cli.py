@@ -364,6 +364,26 @@ class TestErrorPaths:
                     "--sampler", "nelson", "--n", "5", "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
+    def _sample(self, tmp_path, theta_text, *extra):
+        cnf = tmp_path / "toy.cnf"
+        cnf.write_text(TOY_DIMACS)
+        theta = tmp_path / "theta.json"
+        theta.write_text(theta_text)
+        return run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler",
+                    "nelson", "--n", "5", "--out", str(tmp_path / "o"), *extra])
+
+    def test_groups_sidecar_not_an_object_exits_2(self, tmp_path, capsys):
+        groups = tmp_path / "groups.json"
+        groups.write_text("[[0, 1]]")
+        code = self._sample(tmp_path, '{"theta": [0, 0, 0]}', "--groups", str(groups))
+        assert code == EXIT_IO
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "DimacsError"
+
+    @pytest.mark.parametrize("text", ["[0, 0]", "{}"])
+    def test_malformed_theta_exits_1(self, tmp_path, capsys, text):
+        assert self._sample(tmp_path, text) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
     def test_usage_error_exits_1(self):
         assert run(["train", "--cnf", "x"]) == EXIT_USAGE
 
