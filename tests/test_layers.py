@@ -5,7 +5,9 @@ back to the paper's tensor formulation (`tensors`) or up to the trainer
 (`learn`), and only the kernel's constructor reads the constraint objects;
 `metrics` and `problems` sit below the trainer as well. The reference oracle
 stays independent of the sampler kernel it checks and of the trainer, and
-`cnf` is the bottom layer: it imports no other cmrf module.
+`cnf` is the bottom layer: it imports no other cmrf module. In `rng`, every
+draw is a keyed view of one splitmix chain: no class holds generator state,
+and only `hash_u64` calls the mixer.
 """
 
 import ast
@@ -78,3 +80,15 @@ def _attribute_readers(module: str, attrs: set[str]) -> set[str]:
 def test_only_the_kernel_reads_constraints():
     readers = _attribute_readers("samplers", {"clauses", "exactly_one_groups", "literals"})
     assert readers == {"_ConstraintKernel.__init__"}
+
+
+def test_rng_is_one_stateless_chain():
+    tree = ast.parse((PACKAGE / "rng.py").read_text(encoding="utf-8"))
+    assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    callers = {
+        fn.name
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_mix"
+    }
+    assert callers == {"hash_u64"}
