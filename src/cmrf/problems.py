@@ -32,15 +32,15 @@ def gen_ksat(n: int, L: int, K: int, seed: int = 0) -> ProblemInstance:
     """L random clauses of exactly K distinct variables, fair-coin polarities."""
     if K > n:
         raise ValueError(f"clause width {K} exceeds variable count {n}")
-    # Clause c draws counters c*(n+K) .. (c+1)*(n+K)-1: its variables are the
-    # first K of a stable argsort of n values, its signs the K after them.
-    u = uniforms(fold_seed(seed, "ksat"), np.arange(L * (n + K))).reshape(L, n + K)
-    variables = np.argsort(u[:, :n], axis=1, kind="stable")[:, :K].tolist()
-    signs = (u[:, n:] < 0.5).tolist()
-    clauses = [
-        Clause(tuple(Literal(v, s) for v, s in zip(vs, ss)))
-        for vs, ss in zip(variables, signs)
-    ]
+    ksat_seed = fold_seed(seed, "ksat")
+    clauses = []
+    for c in range(L):  # one clause at a time keeps memory O(n), not O(L n)
+        # Clause c draws counters c*(n+K) .. (c+1)*(n+K)-1: its variables are
+        # the first K of a stable argsort of n values, its signs the K after.
+        u = uniforms(ksat_seed, c * (n + K) + np.arange(n + K))
+        variables = np.argsort(u[:n], kind="stable")[:K].tolist()
+        signs = (u[n:] < 0.5).tolist()
+        clauses.append(Clause(tuple(Literal(v, s) for v, s in zip(variables, signs))))
     cs = ConstraintSet(n_vars=n, clauses=tuple(clauses))
     return ProblemInstance(
         constraints=cs,
