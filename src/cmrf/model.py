@@ -153,9 +153,11 @@ def load_model(path) -> ModelParams:
         payload = json.load(fh)
     try:
         theta = np.asarray(payload["theta"], dtype=np.float64)
+        if theta.ndim != 1:
+            raise ValueError("model theta must be a flat list of numbers")
         if "n" in payload and int(payload["n"]) != theta.shape[0]:
             raise ValueError("model file n does not match theta length")
-    except (TypeError, KeyError, IndexError) as exc:
+    except (TypeError, KeyError) as exc:
         raise ValueError(f'model file is not {{"theta": [numbers]}}: {exc!r}') from exc
     return ModelParams(theta)
 

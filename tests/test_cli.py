@@ -379,7 +379,8 @@ class TestErrorPaths:
         assert code == EXIT_IO
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "DimacsError"
 
-    @pytest.mark.parametrize("text", ["[0, 0]", "{}"])
+    @pytest.mark.parametrize(
+        "text", ["[0, 0]", "{}", '{"theta": {}}', '{"theta": [[0, 0, 0]], "n": 1}'])
     def test_malformed_theta_exits_1(self, tmp_path, capsys, text):
         assert self._sample(tmp_path, text) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
