@@ -18,7 +18,7 @@ import numpy as np
 
 from .cnf import ConstraintSet, Dataset
 from .model import ModelParams, potential_batch
-from .oracle import ENUMERATION_CAP, exact_distribution, exact_grad_log_partition
+from .oracle import ENUMERATION_CAP, ExactDistribution, exact_distribution
 from .rng import fold_seed, uniforms
 from .samplers import draw_valid_rows
 
@@ -73,12 +73,12 @@ def cd_step(theta: ModelParams, data_batch: np.ndarray, model_batch: np.ndarray)
 def neg_log_likelihood(theta: ModelParams, ds: Dataset, cs: ConstraintSet) -> float:
     """Exact NLL: log Z (enumerated) minus the mean data potential."""
     ds.validate(cs)
-    return _nll(theta, ds, cs)
+    return _nll(exact_distribution(cs, theta), theta, ds)
 
 
-def _nll(theta: ModelParams, ds: Dataset, cs: ConstraintSet) -> float:
-    """neg_log_likelihood on a dataset already validated against cs."""
-    dist = exact_distribution(cs, theta)
+def _nll(dist: ExactDistribution, theta: ModelParams, ds: Dataset) -> float:
+    """neg_log_likelihood with dist the exact distribution under theta, on a
+    dataset already validated against its constraints."""
     mean_potential = float(potential_batch(theta, ds.assignments).mean())
     return dist.log_partition - mean_potential
 
@@ -101,10 +101,17 @@ def train(
     trace_nll = cs.n_vars <= ENUMERATION_CAP
     n_data = len(ds)
     data_mean = ds.assignments.astype(np.float64).mean(axis=0)
+    dist = None  # the support is enumerated on first use, then only reweighted
+
+    def exact(theta):
+        nonlocal dist
+        dist = exact_distribution(cs, theta) if dist is None else dist.reweight(theta)
+        return dist
+
     start = time.perf_counter()
     for it in range(1, cfg.t_max + 1):
         if cfg.sampler_kind == "exact":
-            g = exact_grad_log_partition(cs, theta) - data_mean
+            g = exact(theta).mean() - data_mean
         else:
             u = uniforms(fold_seed(cfg.seed, "data", it), np.arange(cfg.m))
             data_rows = ds.assignments[np.minimum((u * n_data).astype(np.int64), n_data - 1)]
@@ -119,7 +126,7 @@ def train(
             g = cd_step(theta, data_rows, model_rows)
         theta = ModelParams(theta.theta - cfg.eta * g)
         want_nll = trace_nll and (it % cfg.nll_every == 0 or it == cfg.t_max)
-        nll = _nll(theta, ds, cs) if want_nll else None
+        nll = _nll(exact(theta), theta, ds) if want_nll else None
         trace.append(
             TraceRow(
                 iteration=it,

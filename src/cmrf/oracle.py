@@ -38,6 +38,17 @@ class ExactDistribution:
     def prob_table(self) -> dict[str, float]:
         return dict(zip(row_keys(self.support), self.probabilities.tolist()))
 
+    def reweight(self, m: ModelParams) -> ExactDistribution:
+        """The distribution under theta m on the same support, without
+        enumerating again; equal to exact_distribution(cs, m) bit for bit."""
+        if m.n != self.support.shape[1]:
+            raise ValueError("theta length does not match n_vars")
+        return _weigh(self.support, m)
+
+    def mean(self) -> np.ndarray:
+        """Coordinate-wise mean of x: the gradient of log Z in theta."""
+        return self.probabilities @ self.support.astype(np.float64)
+
 
 @dataclass
 class ResampleExpectation:
@@ -75,15 +86,23 @@ def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
     log_partition is computed with a max-shifted log-sum-exp over the valid
     assignments' potentials.
     """
-    support, pots = [], []
+    support = []
     for bits, viol in _enumerate(cs, m):
         support.append(bits[~viol.any(axis=1)])
-        pots.append(support[-1].astype(np.float64) @ m.theta)
         del bits, viol
     support = np.concatenate(support)
     if not len(support):
         raise EmptySupportError("constraint set is unsatisfiable")
-    pots = np.concatenate(pots)
+    return _weigh(support, m)
+
+
+def _weigh(support: np.ndarray, m: ModelParams) -> ExactDistribution:
+    """Boltzmann probabilities and log Z of the support rows under m. The
+    potentials are taken a block of rows at a time, so the float64 copy of
+    the support stays one block long."""
+    step = 1 << _CHUNK_BITS
+    pots = np.concatenate([support[i : i + step].astype(np.float64) @ m.theta
+                           for i in range(0, len(support), step)])
     peak = pots.max()
     log_z = peak + np.log(np.exp(pots - peak).sum())
     probs = np.exp(pots - log_z)
@@ -93,8 +112,7 @@ def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
 
 def exact_grad_log_partition(cs: ConstraintSet, m: ModelParams) -> np.ndarray:
     """Coordinate-wise mean of x under the exact constrained distribution."""
-    dist = exact_distribution(cs, m)
-    return dist.probabilities @ dist.support.astype(np.float64)
+    return exact_distribution(cs, m).mean()
 
 
 def product_measure_weights(m: ModelParams, bits: np.ndarray) -> np.ndarray:

@@ -76,3 +76,24 @@ def uniform_field(seed: int, rows: np.ndarray, round_index: int, n_slots: int) -
     """Uniforms in [0,1) keyed by (seed, row, round, slot), shape (len(rows), n_slots)."""
     rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
     return _to_unit(hash_u64(seed, rows, round_index, np.arange(n_slots, dtype=np.uint64)))
+
+
+def _threshold(p) -> np.ndarray:
+    """The largest hash h with _to_unit(h) <= p, for each p in [0, 1].
+
+    _to_unit(h) is k * 2**-53 with k = h >> 11, so it exceeds p exactly when
+    k > T = floor(p * 2**53), that is when h > (T << 11) | 2047. Capping T at
+    2**53 - 1 (k never exceeds it) keeps p = 1 from wrapping to 2047.
+    """
+    top = np.minimum(np.floor(np.asarray(p, dtype=np.float64) * 2.0**53), 2.0**53 - 1)
+    return (top.astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
+
+
+def bernoulli_field(seed: int, rows: np.ndarray, round_index: int, p_zero) -> np.ndarray:
+    """Bits keyed like uniform_field, (len(rows), len(p_zero)) bool, equal to
+    uniform_field(seed, rows, round_index, len(p_zero)) > p_zero for p_zero
+    in [0, 1], but compared as integers without the float conversion."""
+    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
+    threshold = _threshold(p_zero)
+    slots = np.arange(threshold.size, dtype=np.uint64)
+    return hash_u64(seed, rows, round_index, slots) > threshold

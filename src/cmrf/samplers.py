@@ -29,7 +29,7 @@ import numpy as np
 
 from .cnf import ConstraintSet, Literal
 from .model import ModelParams, marginals
-from .rng import fold_seed, uniform_field
+from .rng import bernoulli_field, fold_seed, uniform_field
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -92,6 +92,14 @@ class _ConstraintKernel:
     constraint is violated when the count of its true literals is 0 (clause)
     or differs from 1 (group). var_c[i] and var_live[i] are the transposed
     lists: the constraints that contain variable i.
+
+    The counts themselves come from the signed incidence matrix: column j of
+    `incidence` holds +1 for each positive literal or group member of
+    constraint j and -1 for each negated literal, and offset[j] counts the
+    negated ones, so X @ incidence + offset is the true-literal count. One
+    float32 matmul is about four times faster than gathering a (rows,
+    constraints, width) slot array on gen_sinkfree(80, 0.1); the counts are
+    integers below 2**24, so float32 holds them exactly.
     """
 
     def __init__(self, cs: ConstraintSet):
@@ -102,6 +110,12 @@ class _ConstraintKernel:
         self.idx, self.live = _pack([[lit.variable_index for lit in row] for row in literals])
         neg, _ = _pack([[lit.negated for lit in row] for row in literals])
         self.neg = neg.astype(bool)
+        if self.idx.shape[1] >= 1 << 24:
+            raise ValueError("constraints of 2**24 or more literals overflow float32 counts")
+        self.incidence = np.zeros((self.n, len(literals)), dtype=np.float32)
+        cons = np.broadcast_to(np.arange(len(literals))[:, None], self.idx.shape)
+        self.incidence[self.idx[self.live], cons[self.live]] = np.where(self.neg[self.live], -1, 1)
+        self.offset = (self.neg & self.live).sum(axis=1).astype(np.float32)
         containing = [[] for _ in range(self.n)]
         for j, row in enumerate(literals):
             for lit in row:
@@ -110,7 +124,7 @@ class _ConstraintKernel:
 
     def violations(self, X: np.ndarray) -> np.ndarray:
         """(rows, n_constraints) bool: row r violates constraint j."""
-        count = ((X[:, self.idx] ^ self.neg) & self.live).sum(axis=-1)
+        count = X.astype(np.float32) @ self.incidence + self.offset
         return np.where(self.is_group, count != 1, count == 0)
 
     def union_mask(self, S: np.ndarray) -> np.ndarray:
@@ -157,11 +171,11 @@ def _append_records(records, active, S):
 
 def _resample_rounds(cs, m, cfg, resample_all: bool):
     kernel = _ConstraintKernel(cs)
-    b, n = cfg.batch_size, cs.n_vars
+    b = cfg.batch_size
     p_zero = marginals(m)
     row_ids = cfg.row_offset + np.arange(b, dtype=np.int64)
 
-    X = (uniform_field(cfg.seed, row_ids, 0, n) > p_zero).astype(np.uint8)
+    X = bernoulli_field(cfg.seed, row_ids, 0, p_zero).astype(np.uint8)
     rounds = np.zeros(b, dtype=np.int64)
     valid = np.zeros(b, dtype=bool)
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
@@ -189,7 +203,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             S[np.arange(first.size), first] = True
         tally += S.sum(axis=0)
         mask = kernel.union_mask(S)
-        draws = (uniform_field(cfg.seed, row_ids[active], t, n) > p_zero).astype(np.uint8)
+        draws = bernoulli_field(cfg.seed, row_ids[active], t, p_zero)
         X[active] = np.where(mask, draws, X[active])
 
     batch = AssignmentBatch(rows=X, valid_flags=valid)

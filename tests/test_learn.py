@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmrf import cnf
+from cmrf import cnf, learn
 from cmrf.cnf import ConstraintSet, clause, satisfies_all
 from cmrf.learn import (
     Dataset,
@@ -15,7 +15,7 @@ from cmrf.learn import (
     train,
 )
 from cmrf.model import ModelParams
-from cmrf.oracle import exact_grad_log_partition
+from cmrf.oracle import exact_distribution, exact_grad_log_partition
 from cmrf.problems import gen_training_set, ProblemInstance
 from cmrf.samplers import SamplerExhaustedError
 
@@ -134,6 +134,28 @@ class TestTrain:
         _, trace = train(ds, toy_cs, cfg, ModelParams(np.zeros(3)))
         assert all(row.nll is not None for row in trace)
         assert calls == [3]
+
+    def test_support_enumerated_once(self, toy_cs, monkeypatch):
+        # Exact gradients and traced NLLs reweight one enumerated support, and
+        # each equals a fresh enumeration under that step's theta.
+        calls = []
+
+        def counting(cs, m):
+            calls.append(m)
+            return exact_distribution(cs, m)
+
+        monkeypatch.setattr(learn, "exact_distribution", counting)
+        ds = Dataset(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8), n_vars=3)
+        cfg = TrainConfig(eta=0.3, t_max=4, sampler_kind="exact", nll_every=1)
+        theta, trace = train(ds, toy_cs, cfg, ModelParams(np.zeros(3)))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        data_mean = ds.assignments.astype(np.float64).mean(axis=0)
+        ref = ModelParams(np.zeros(3))
+        for row in trace:
+            ref = ModelParams(ref.theta - 0.3 * (exact_grad_log_partition(toy_cs, ref) - data_mean))
+            assert row.nll == neg_log_likelihood(ref, ds, toy_cs)
+        assert np.array_equal(theta.theta, ref.theta)
 
     def test_invalid_dataset_rejected(self, toy_cs):
         ds = Dataset(np.array([[0, 0, 0]], dtype=np.uint8), n_vars=3)

@@ -51,6 +51,23 @@ class TestExactDistribution:
         assert np.array_equal(a.support, b.support)
         assert np.allclose(a.probabilities, b.probabilities)
 
+    def test_reweight_equals_fresh_enumeration(self):
+        # 18 variables: several enumeration blocks, and a support of more than
+        # one 2**16-row potential block.
+        cs = gen_ksat(18, 8, 3, seed=0).constraints
+        rng = np.random.default_rng(1)
+        base = exact_distribution(cs, ModelParams(np.zeros(18)))
+        assert len(base.support) > 1 << 16
+        for _ in range(3):
+            m = ModelParams(rng.normal(size=18) * 2)
+            fresh, moved = exact_distribution(cs, m), base.reweight(m)
+            assert np.array_equal(moved.support, fresh.support)
+            assert np.array_equal(moved.probabilities, fresh.probabilities)
+            assert moved.log_partition == fresh.log_partition
+            assert np.array_equal(moved.mean(), exact_grad_log_partition(cs, m))
+        with pytest.raises(ValueError, match="theta length"):
+            base.reweight(ModelParams(np.zeros(17)))
+
     def test_probabilities_sum_to_one(self):
         for _, cs in corpus.extremal_corpus()[:6]:
             dist = exact_distribution(cs, corpus.uniform_params(cs))

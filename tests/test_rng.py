@@ -1,0 +1,47 @@
+import math
+
+import numpy as np
+import pytest
+
+from cmrf.rng import _threshold, _to_unit, bernoulli_field, uniform_field
+
+# p values where floor(p * 2**53) or the float compare could go wrong: the
+# ends, the subnormal minimum, one ulp below 0.5 and 1, and 2**-53 / 2**-54,
+# which put T at 1 and 0 (a p between two grid points).
+EDGE_P = [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0), 5e-324, 2.0**-53,
+          2.0**-54]
+
+
+def _boundary_hashes(p: float) -> np.ndarray:
+    """Hashes whose top 53 bits k sit at T - 1, T and T + 1 (T = floor(p * 2**53)),
+    each with the low 11 bits all 0 and all 1, plus the extreme hashes."""
+    top = math.floor(p * 2**53)
+    ks = [k for k in (top - 1, top, top + 1) if 0 <= k < 2**53]
+    return np.array([(k << 11) | low for k in ks for low in (0, 2047)] + [0, 2**64 - 1],
+                    dtype=np.uint64)
+
+
+def _test_ps() -> list[float]:
+    rng = np.random.default_rng(0)
+    random_p = np.concatenate([rng.random(2000), 2.0 ** -rng.integers(1, 60, size=200)])
+    return EDGE_P + random_p.tolist()
+
+
+def test_threshold_matches_float_compare_at_the_boundaries():
+    for p in _test_ps():
+        h = _boundary_hashes(p)
+        assert np.array_equal(h > _threshold(p), _to_unit(h) > p), p
+
+
+@pytest.mark.parametrize("round_index", [0, 7])
+def test_bernoulli_field_equals_uniform_compare(round_index):
+    p = np.array(_test_ps())
+    rows = np.arange(3, 203)
+    bits = bernoulli_field(11, rows, round_index, p)
+    assert bits.shape == (rows.size, p.size)
+    assert np.array_equal(bits, uniform_field(11, rows, round_index, p.size) > p)
+
+
+def test_bernoulli_field_ends():
+    bits = bernoulli_field(5, np.arange(1000), 2, np.array([0.0, 1.0]))
+    assert bits[:, 0].all() and not bits[:, 1].any()

@@ -103,9 +103,31 @@ def _support_rows(cs, constraints):
     return out
 
 
+def _wide_clauses():
+    """A 40-literal clause of alternating signs and an all-negated one over
+    another 20 variables, on rows that falsify each, both or neither."""
+    mixed = clause(*[i if i % 2 else -i for i in range(1, 41)])
+    negated = clause(*range(-60, -40))
+    falsify_mixed = np.arange(60) % 2
+    X = np.array([np.zeros(60), np.ones(60), falsify_mixed, 1 - falsify_mixed,
+                  np.r_[falsify_mixed[:40], np.ones(20)], np.r_[1 - falsify_mixed[:40], np.ones(20)]],
+                 dtype=np.uint8)
+    X[-1, 59] = 0
+    return ConstraintSet(n_vars=60, clauses=(mixed, negated)), X
+
+
 @given(mixed_sets_and_rows())
 @settings(max_examples=200, deadline=None)
 @example((ConstraintSet(n_vars=3), np.array([[0, 1, 0], [1, 1, 1]], dtype=np.uint8)))
+@example((
+    ConstraintSet(n_vars=3, clauses=(clause(1, -2),), exactly_one_groups=(frozenset({2}),)),
+    np.zeros((0, 3), dtype=np.uint8),
+))
+@example(_wide_clauses())
+@example((
+    ConstraintSet(n_vars=3, exactly_one_groups=(frozenset({0}), frozenset({1}), frozenset({2}))),
+    np.array([[0, 0, 0], [1, 0, 1], [1, 1, 1]], dtype=np.uint8),
+))
 @example((
     ConstraintSet(
         n_vars=4,
@@ -120,7 +142,7 @@ def test_kernel_matches_reference(case):
     S = violation_matrix(cs, X)
     assert np.array_equal(kernel.violations(X), S)
     union = np.array([_support_rows(cs, np.nonzero(s)[0]).any(axis=0) for s in S])
-    assert np.array_equal(kernel.union_mask(S), union)
+    assert np.array_equal(kernel.union_mask(S), union.reshape(len(X), cs.n_vars))
 
 
 @st.composite
