@@ -103,9 +103,9 @@ def train(
     data_mean = ds.assignments.astype(np.float64).mean(axis=0)
     dist = None  # the support is enumerated on first use, then only reweighted
 
-    def exact(theta):
+    def exact(m):
         nonlocal dist
-        dist = exact_distribution(cs, theta) if dist is None else dist.reweight(theta)
+        dist = exact_distribution(cs, m) if dist is None else dist.reweight(m)
         return dist
 
     start = time.perf_counter()

@@ -20,6 +20,7 @@ from .model import ModelParams, marginals
 
 ENUMERATION_CAP = 25
 _CHUNK_BITS = 16
+_WEIGH_ROWS = 1 << 12
 
 class EnumerationCapError(RuntimeError):
     """An exhaustive enumeration would need more variables than allowed."""
@@ -98,14 +99,18 @@ def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
 
 def _weigh(support: np.ndarray, m: ModelParams) -> ExactDistribution:
     """Boltzmann probabilities and log Z of the support rows under m. The
-    potentials are taken a block of rows at a time, so the float64 copy of
-    the support stays one block long."""
-    step = 1 << _CHUNK_BITS
-    pots = np.concatenate([support[i : i + step].astype(np.float64) @ m.theta
-                           for i in range(0, len(support), step)])
+    potentials are taken _WEIGH_ROWS rows at a time, so the float64 copy of
+    the support stays under 1 MB, and at most two support-long float64
+    arrays are alive at once."""
+    pots = np.empty(len(support))
+    for i in range(0, len(support), _WEIGH_ROWS):
+        rows = slice(i, i + _WEIGH_ROWS)
+        np.matmul(support[rows].astype(np.float64), m.theta, out=pots[rows])
     peak = pots.max()
-    log_z = peak + np.log(np.exp(pots - peak).sum())
-    probs = np.exp(pots - log_z)
+    shifted = pots - peak
+    log_z = peak + np.log(np.exp(shifted, out=shifted).sum())
+    del shifted
+    probs = np.exp(np.subtract(pots, log_z, out=pots), out=pots)
     probs /= probs.sum()  # remove residual rounding so probabilities sum to 1
     return ExactDistribution(support=support, probabilities=probs, log_partition=float(log_z))
 

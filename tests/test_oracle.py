@@ -52,8 +52,8 @@ class TestExactDistribution:
         assert np.allclose(a.probabilities, b.probabilities)
 
     def test_reweight_equals_fresh_enumeration(self):
-        # 18 variables: several enumeration blocks, and a support of more than
-        # one 2**16-row potential block.
+        # 18 variables: four enumeration blocks, and a support that is weighed
+        # in many row chunks.
         cs = gen_ksat(18, 8, 3, seed=0).constraints
         rng = np.random.default_rng(1)
         base = exact_distribution(cs, ModelParams(np.zeros(18)))
