@@ -97,7 +97,7 @@ class _ConstraintKernel:
     `incidence` holds +1 for each positive literal or group member of
     constraint j and -1 for each negated literal, and offset[j] counts the
     negated ones, so X @ incidence + offset is the true-literal count. One
-    float32 matmul is about four times faster than gathering a (rows,
+    float32 matmul is about five times faster than gathering a (rows,
     constraints, width) slot array on gen_sinkfree(80, 0.1); the counts are
     integers below 2**24, so float32 holds them exactly.
     """
