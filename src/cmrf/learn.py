@@ -101,11 +101,15 @@ def train(
     trace_nll = cs.n_vars <= ENUMERATION_CAP
     n_data = len(ds)
     data_mean = ds.assignments.astype(np.float64).mean(axis=0)
-    dist = None  # the support is enumerated on first use, then only reweighted
+    dist, dist_theta = None, None  # enumerated on first use, then weighed once per theta
 
     def exact(m):
-        nonlocal dist
-        dist = exact_distribution(cs, m) if dist is None else dist.reweight(m)
+        nonlocal dist, dist_theta
+        if dist is None:
+            dist = exact_distribution(cs, m)
+        elif m is not dist_theta:
+            dist = dist.reweight(m)
+        dist_theta = m
         return dist
 
     start = time.perf_counter()

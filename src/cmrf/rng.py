@@ -72,10 +72,15 @@ def uniforms(seed: int, counters) -> np.ndarray:
     return _to_unit(hash_u64(seed, np.asarray(counters, dtype=np.uint64)))
 
 
+def _field(seed: int, rows: np.ndarray, round_index: int, n_slots: int) -> np.ndarray:
+    """Hashes keyed by (seed, row, round, slot), shape (len(rows), n_slots)."""
+    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
+    return hash_u64(seed, rows, round_index, np.arange(n_slots, dtype=np.uint64))
+
+
 def uniform_field(seed: int, rows: np.ndarray, round_index: int, n_slots: int) -> np.ndarray:
     """Uniforms in [0,1) keyed by (seed, row, round, slot), shape (len(rows), n_slots)."""
-    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
-    return _to_unit(hash_u64(seed, rows, round_index, np.arange(n_slots, dtype=np.uint64)))
+    return _to_unit(_field(seed, rows, round_index, n_slots))
 
 
 def _threshold(p) -> np.ndarray:
@@ -93,7 +98,5 @@ def bernoulli_field(seed: int, rows: np.ndarray, round_index: int, p_zero) -> np
     """Bits keyed like uniform_field, (len(rows), len(p_zero)) bool, equal to
     uniform_field(seed, rows, round_index, len(p_zero)) > p_zero for p_zero
     in [0, 1], but compared as integers without the float conversion."""
-    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
     threshold = _threshold(p_zero)
-    slots = np.arange(threshold.size, dtype=np.uint64)
-    return hash_u64(seed, rows, round_index, slots) > threshold
+    return _field(seed, rows, round_index, threshold.size) > threshold

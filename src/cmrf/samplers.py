@@ -93,13 +93,13 @@ class _ConstraintKernel:
     or differs from 1 (group). var_c[i] and var_live[i] are the transposed
     lists: the constraints that contain variable i.
 
-    The counts themselves come from the signed incidence matrix: column j of
-    `incidence` holds +1 for each positive literal or group member of
-    constraint j and -1 for each negated literal, and offset[j] counts the
-    negated ones, so X @ incidence + offset is the true-literal count. One
-    float32 matmul is about five times faster than gathering a (rows,
-    constraints, width) slot array on gen_sinkfree(80, 0.1); the counts are
-    integers below 2**24, so float32 holds them exactly.
+    The counts run over the batch transposed, one contiguous row per
+    variable: row v of a (2n, rows) table is x_v and row n + v its negation.
+    Constraints are sorted widest first, so those with a k-th literal are a
+    prefix, and slots[k] names the table row of each one's k-th literal;
+    adding those rows slot by slot costs one row copy and add per literal,
+    and the table holds 2n bytes per row. The count dtype holds the widest
+    constraint, so counts are exact at any width.
     """
 
     def __init__(self, cs: ConstraintSet):
@@ -110,12 +110,13 @@ class _ConstraintKernel:
         self.idx, self.live = _pack([[lit.variable_index for lit in row] for row in literals])
         neg, _ = _pack([[lit.negated for lit in row] for row in literals])
         self.neg = neg.astype(bool)
-        if self.idx.shape[1] >= 1 << 24:
-            raise ValueError("constraints of 2**24 or more literals overflow float32 counts")
-        self.incidence = np.zeros((self.n, len(literals)), dtype=np.float32)
-        cons = np.broadcast_to(np.arange(len(literals))[:, None], self.idx.shape)
-        self.incidence[self.idx[self.live], cons[self.live]] = np.where(self.neg[self.live], -1, 1)
-        self.offset = (self.neg & self.live).sum(axis=1).astype(np.float32)
+        width = self.live.sum(axis=1)
+        order = np.argsort(-width, kind="stable")
+        literal = (self.idx + self.n * self.neg)[order]
+        self.slots = [literal[: (width > k).sum(), k] for k in range(self.idx.shape[1])]
+        self.unsort = np.argsort(order)
+        self.group_sorted = self.is_group[order, None]
+        self.count_dtype = np.min_scalar_type(self.idx.shape[1])
         containing = [[] for _ in range(self.n)]
         for j, row in enumerate(literals):
             for lit in row:
@@ -124,8 +125,15 @@ class _ConstraintKernel:
 
     def violations(self, X: np.ndarray) -> np.ndarray:
         """(rows, n_constraints) bool: row r violates constraint j."""
-        count = X.astype(np.float32) @ self.incidence + self.offset
-        return np.where(self.is_group, count != 1, count == 0)
+        rows = X.shape[0]
+        value = np.empty((2 * self.n, rows), dtype=np.uint8)
+        value[: self.n] = X.T
+        np.bitwise_xor(value[: self.n], 1, out=value[self.n :])
+        count = np.zeros((self.is_group.size, rows), dtype=self.count_dtype)
+        for slot in self.slots:
+            count[: slot.size] += value[slot]
+        violated = np.where(self.group_sorted, count != 1, count == 0)
+        return np.ascontiguousarray(violated[self.unsort].T)
 
     def union_mask(self, S: np.ndarray) -> np.ndarray:
         """(rows, n) bool: variable i lies in a constraint that row r violates."""

@@ -15,7 +15,7 @@ from cmrf.learn import (
     train,
 )
 from cmrf.model import ModelParams
-from cmrf.oracle import exact_distribution, exact_grad_log_partition
+from cmrf.oracle import ExactDistribution, exact_distribution, exact_grad_log_partition
 from cmrf.problems import gen_training_set, ProblemInstance
 from cmrf.samplers import SamplerExhaustedError
 
@@ -136,19 +136,27 @@ class TestTrain:
         assert calls == [3]
 
     def test_support_enumerated_once(self, toy_cs, monkeypatch):
-        # Exact gradients and traced NLLs reweight one enumerated support, and
+        # Exact gradients and traced NLLs reweight one enumerated support, once
+        # per theta (a step's NLL and the next step's gradient share one), and
         # each equals a fresh enumeration under that step's theta.
-        calls = []
+        calls, reweights = [], []
+        reweight = ExactDistribution.reweight
 
         def counting(cs, m):
             calls.append(m)
             return exact_distribution(cs, m)
 
+        def counting_reweight(dist, m):
+            reweights.append(m)
+            return reweight(dist, m)
+
         monkeypatch.setattr(learn, "exact_distribution", counting)
+        monkeypatch.setattr(ExactDistribution, "reweight", counting_reweight)
         ds = Dataset(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8), n_vars=3)
         cfg = TrainConfig(eta=0.3, t_max=4, sampler_kind="exact", nll_every=1)
         theta, trace = train(ds, toy_cs, cfg, ModelParams(np.zeros(3)))
         assert len(calls) == 1
+        assert len(reweights) == cfg.t_max
         monkeypatch.undo()
         data_mean = ds.assignments.astype(np.float64).mean(axis=0)
         ref = ModelParams(np.zeros(3))

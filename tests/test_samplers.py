@@ -124,6 +124,11 @@ def _wide_clauses():
     np.zeros((0, 3), dtype=np.uint8),
 ))
 @example(_wide_clauses())
+@example((  # counts of 256 and 257 would wrap to 0 and 1 in a uint8
+    ConstraintSet(n_vars=257, clauses=(clause(*range(1, 257)), clause(3)),
+                  exactly_one_groups=(frozenset(range(257)),)),
+    np.array([np.ones(257), np.zeros(257), np.eye(257)[2]], dtype=np.uint8),
+))
 @example((
     ConstraintSet(n_vars=3, exactly_one_groups=(frozenset({0}), frozenset({1}), frozenset({2}))),
     np.array([[0, 0, 0], [1, 0, 1], [1, 1, 1]], dtype=np.uint8),
