@@ -112,8 +112,9 @@ class _ConstraintKernel:
         self.neg = neg.astype(bool)
         width = self.live.sum(axis=1)
         order = np.argsort(-width, kind="stable")
-        literal = (self.idx + self.n * self.neg)[order]
-        self.slots = [literal[: (width > k).sum(), k] for k in range(self.idx.shape[1])]
+        literal = np.ascontiguousarray((self.idx + self.n * self.neg)[order].T)
+        having = (width[:, None] > np.arange(literal.shape[0])).sum(axis=0)
+        self.slots = [literal[k, :m] for k, m in enumerate(having.tolist())]
         self.unsort = np.argsort(order)
         self.group_sorted = self.is_group[order, None]
         self.count_dtype = np.min_scalar_type(self.idx.shape[1])
