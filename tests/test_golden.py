@@ -13,7 +13,9 @@ other golden starts from cannot drift either.
 
 The CLI cases pin the files `cmrf sample` writes (`samples.txt`,
 `stats.json`, `histogram.csv`), so a writer that changes the file format
-fails here even when the sampled arrays are unchanged.
+fails here even when the sampled arrays are unchanged. The report cases pin
+what `cmrf eval` (`report.json`) and `cmrf oracle` write on one small
+sink-free instance.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import numpy as np
 import pytest
 
 from cmrf.cli import run
-from cmrf.cnf import ConstraintSet, clause
+from cmrf.cnf import ConstraintSet, clause, encode_rows
 from cmrf.learn import TrainConfig, train
 from cmrf.model import ModelParams, save_model
+from cmrf.oracle import exact_distribution
 from cmrf.problems import gen_ksat, gen_routes, gen_sinkfree, gen_training_set, save_instance
 from cmrf.rng import fold_seed
 from cmrf.samplers import SamplerConfig, gibbs_sample, moser_tardos_sample, nelson_sample
@@ -258,3 +261,72 @@ def test_generator_golden_fingerprint(name, tmp_path):
 )
 def test_fold_seed_golden(seed, tags, value):
     assert fold_seed(seed, *tags) == value
+
+
+def _small_sinkfree(tmp_path):
+    """gen_sinkfree(5, 0.55, seed=6) (7 variables, 40 valid rows) under zero
+    weights, written as instance files; returns the shared CLI arguments and
+    the support rows."""
+    inst = gen_sinkfree(5, 0.55, seed=6)
+    save_instance(inst, tmp_path / "instance.cnf", tmp_path / "instance.json")
+    theta = ModelParams(np.zeros(inst.constraints.n_vars))
+    save_model(theta, tmp_path / "theta.json")
+    args = ["--cnf", str(tmp_path / "instance.cnf"), "--groups", str(tmp_path / "instance.json"),
+            "--theta", str(tmp_path / "theta.json")]
+    return args, exact_distribution(inst.constraints, theta).support
+
+
+def _cli_files(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def _cli_eval(*extra):
+    def case(tmp_path):
+        args, support = _small_sinkfree(tmp_path)
+        for name, rows in (("preferred", support[0::2]), ("unseen", support[1::2])):
+            (tmp_path / f"{name}.txt").write_bytes(encode_rows(rows))
+        out = tmp_path / "out"
+        assert run(["eval", *args, "--preferred", str(tmp_path / "preferred.txt"),
+                    "--unseen", str(tmp_path / "unseen.txt"), "--out", str(out), *extra]) == 0
+        return _cli_files(out, ["report.json"])
+
+    return case
+
+
+def _cli_oracle(tmp_path):
+    args, _ = _small_sinkfree(tmp_path)
+    files = {"dist": ("dist.json", "partition.json"), "grad": ("grad.json",),
+             "resamples": ("resamples.json",)}
+    digests = {}
+    for what, names in files.items():
+        out = tmp_path / what
+        assert run(["oracle", *args, "--what", what, "--out", str(out)]) == 0
+        digests.update(_cli_files(out, names))
+    return digests
+
+
+REPORT_CASES = {
+    "eval": _cli_eval(),
+    "eval_grad": _cli_eval("--grad-m", "200", "--seed", "1"),
+    "oracle": _cli_oracle,
+}
+
+REPORT_GOLDEN = {
+    "eval": {
+        "report.json": "6a8bffcec49b5d9dc4c9b9439faf4efae0e0e9d14600dde1141e20e54cf69e75",
+    },
+    "eval_grad": {
+        "report.json": "b20a3f8143c99ff2467bc68f57a8a73ffcbd12abc8eb10a050e77f3a8aa20a0f",
+    },
+    "oracle": {
+        "dist.json": "a41d0ae4732b089cc438abbd2fb4a294abc134b6d731ac0127a5a1c74f5204da",
+        "partition.json": "bb1155dc1e904b0192b8c0a5189b39ef83140dc2a533f3b2f7602d18e16eeaf3",
+        "grad.json": "83f0e934312f23e8b6feaff23258f45b1a3b9da26209a6e47d01b86b976b8516",
+        "resamples.json": "81fddb9e65fe5f6e41fa7df261ea48f4bb767344b168d370b3bb7113fbbc9f59",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_cli_report_golden_fingerprint(name, tmp_path):
+    assert REPORT_CASES[name](tmp_path) == REPORT_GOLDEN[name]
