@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands wire the generators, samplers, trainer, oracle and metrics into
-file-based runs: every run takes explicit input paths and a seed, writes its
-artifacts plus a manifest echoing the fully resolved plan, and uses no source
-of randomness other than the plan seed. Failures exit with a stable code
-(1 usage, 2 I/O, 3 infeasible instance, 4 oracle enumeration cap, 5 sampler
-exhaustion) and a JSON error object on stderr.
+file-based runs: every run takes explicit input paths, writes its artifacts
+plus a manifest echoing the fully resolved plan, and draws random values from
+the plan seed only (`oracle` enumerates and draws nothing, so it takes no
+seed). Flag defaults are read from SamplerConfig and TrainConfig. Failures
+exit with a stable code (1 usage, 2 I/O, 3 infeasible instance, 4 oracle
+enumeration cap, 5 sampler exhaustion) and a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cnf import Dataset, DimacsError, encode_rows, load_constraints
 from .learn import TrainConfig, save_trace_csv, train
-from .metrics import MetricReport, grad_error, map_at_10, resample_stats, save_histogram_csv
+from .metrics import grad_error, map_at_10, resample_stats, save_histogram_csv
 from .model import ModelParams, load_model, save_model
 from .oracle import (
     EmptySupportError,
@@ -30,7 +31,7 @@ from .oracle import (
     exact_grad_log_partition,
     expected_resamples,
 )
-from .problems import gen_ksat, gen_routes, gen_sinkfree, save_instance
+from .problems import gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance
 from .samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError, SamplerStats
 
 EXIT_OK = 0
@@ -39,8 +40,6 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 EXIT_CAP = 4
 EXIT_EXHAUSTED = 5
-
-DEFAULTS = {"t_tryout": 1000, "m": 200, "eta": 0.1, "t_max": 1000}
 
 _SAMPLER_ALIASES = {"nelson": "nelson", "moser": "moser_tardos", "gibbs": "gibbs"}
 
@@ -79,9 +78,9 @@ def _build_parser() -> _Parser:
     sample.add_argument("--theta", required=True)
     sample.add_argument("--sampler", required=True, choices=sorted(_SAMPLER_ALIASES))
     sample.add_argument("--n", required=True, type=int, help="number of rows to draw")
-    sample.add_argument("--tryout", type=int, default=DEFAULTS["t_tryout"])
-    sample.add_argument("--burn-in", type=int, default=1000)
-    sample.add_argument("--thin", type=int, default=10)
+    sample.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
+    sample.add_argument("--burn-in", type=int, default=SamplerConfig.gibbs_burn_in)
+    sample.add_argument("--thin", type=int, default=SamplerConfig.gibbs_thinning)
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -89,12 +88,12 @@ def _build_parser() -> _Parser:
     tr.add_argument("--cnf", required=True)
     tr.add_argument("--groups", default=None)
     tr.add_argument("--data", required=True)
-    tr.add_argument("--m", type=int, default=DEFAULTS["m"])
-    tr.add_argument("--eta", type=float, default=DEFAULTS["eta"])
-    tr.add_argument("--iters", type=int, default=DEFAULTS["t_max"])
+    tr.add_argument("--m", type=int, default=TrainConfig.m)
+    tr.add_argument("--eta", type=float, default=TrainConfig.eta)
+    tr.add_argument("--iters", type=int, default=TrainConfig.t_max)
     tr.add_argument("--sampler", default="nelson", choices=sorted(_SAMPLER_ALIASES))
-    tr.add_argument("--tryout", type=int, default=DEFAULTS["t_tryout"])
-    tr.add_argument("--nll-every", type=int, default=10)
+    tr.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
+    tr.add_argument("--nll-every", type=int, default=TrainConfig.nll_every)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -114,7 +113,6 @@ def _build_parser() -> _Parser:
     orc.add_argument("--groups", default=None)
     orc.add_argument("--theta", required=True)
     orc.add_argument("--what", required=True, choices=["dist", "grad", "resamples"])
-    orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--out", default=".", help="output directory (default: current)")
 
     return parser
@@ -140,7 +138,6 @@ def _write_manifest(plan: RunPlan, outdir: Path) -> None:
         {
             "command": plan.command,
             "options": {k: v for k, v in sorted(plan.options.items())},
-            "defaults": DEFAULTS,
             "version": __version__,
         },
     )
@@ -166,8 +163,9 @@ def _run_gen(plan: RunPlan, outdir: Path) -> int:
     else:
         inst = gen_routes(options["size"], seed=options["seed"])
     save_instance(inst, outdir / "instance.cnf", outdir / "instance.json")
-    if inst.metadata.get("theta") is not None:
-        save_model(ModelParams(np.asarray(inst.metadata["theta"])), outdir / "theta.json")
+    theta = instance_theta(inst)
+    if theta is not None:
+        save_model(theta, outdir / "theta.json")
     return EXIT_OK
 
 
@@ -249,14 +247,12 @@ def _run_eval(plan: RunPlan, outdir: Path) -> int:
     cs, theta = _load_inputs(options)
     preferred = Dataset.load(options["preferred"], constraint_set=cs)
     unseen = Dataset.load(options["unseen"], constraint_set=cs)
-    report = MetricReport(
-        map_at_10=map_at_10(theta, preferred.assignments, unseen.assignments)
-    )
+    report = {"map_at_10": map_at_10(theta, preferred.assignments, unseen.assignments)}
     if options["grad_m"] is not None:
-        report.grad_error_l1 = grad_error(
+        report["grad_error_l1"] = grad_error(
             cs, theta, "nelson", options["grad_m"], seed=options["seed"]
         )
-    _write_json(outdir / "report.json", report.to_dict())
+    _write_json(outdir / "report.json", report)
     return EXIT_OK
 
 

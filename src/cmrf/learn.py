@@ -20,7 +20,7 @@ from .cnf import ConstraintSet, Dataset
 from .model import ModelParams, potential_batch
 from .oracle import ENUMERATION_CAP, ExactDistribution, exact_distribution
 from .rng import fold_seed, uniforms
-from .samplers import draw_valid_rows
+from .samplers import SAMPLERS, SamplerConfig, draw_valid_rows
 
 
 @dataclass
@@ -28,9 +28,9 @@ class TrainConfig:
     m: int = 200
     eta: float = 0.1
     t_max: int = 1000
-    sampler_kind: str = "nelson"  # nelson | moser_tardos | gibbs | exact
+    sampler_kind: str = "nelson"  # a key of SAMPLERS, or "exact"
     seed: int = 0
-    t_tryout: int = 1000
+    t_tryout: int = SamplerConfig.t_tryout
     nll_every: int = 10  # trace exact NLL every k-th iteration (when n <= cap)
 
     def __post_init__(self):
@@ -42,7 +42,7 @@ class TrainConfig:
             raise ValueError("t_max must be >= 0")
         if self.nll_every < 1:
             raise ValueError("nll_every must be >= 1")
-        if self.sampler_kind not in ("nelson", "moser_tardos", "gibbs", "exact"):
+        if self.sampler_kind != "exact" and self.sampler_kind not in SAMPLERS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
 
 

@@ -14,27 +14,6 @@ from .oracle import exact_grad_log_partition
 from .samplers import AssignmentBatch, SamplerStats, draw_valid_rows
 
 
-@dataclass
-class MetricReport:
-    validity: float | None = None
-    map_at_10: float | None = None
-    grad_error_l1: float | None = None
-    nll: float | None = None
-    resample_histogram: dict[int, int] | None = None
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in ("validity", "map_at_10", "grad_error_l1", "nll"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.resample_histogram is not None:
-            out["resample_histogram"] = {
-                str(k): v for k, v in sorted(self.resample_histogram.items())
-            }
-        return out
-
-
 def validity(batch: AssignmentBatch, cs: ConstraintSet) -> float:
     """Fraction of rows satisfying every constraint; exhausted rows count in
     the denominator like any other draw."""

@@ -325,7 +325,7 @@ def draw_valid_rows(
     kind: str,
     count: int,
     seed: int,
-    t_tryout: int = 1000,
+    t_tryout: int = SamplerConfig.t_tryout,
 ) -> np.ndarray:
     """Collect `count` valid assignments from the named sampler.
 

@@ -17,8 +17,6 @@ import numpy as np
 
 from .cnf import ConstraintSet
 
-DEBUG_CHECKS = __debug__
-
 
 @dataclass(frozen=True)
 class ClauseTensors:
@@ -80,7 +78,7 @@ def satisfaction_pass(t: ClauseTensors, X: np.ndarray) -> tuple[np.ndarray, np.n
         )
     Zf = X.astype(np.float64) @ t.w_matrix.T + t.b.reshape(-1).astype(np.float64)
     Z = Zf.reshape(rows, t.L, t.K).astype(np.int8)
-    if DEBUG_CHECKS:
+    if __debug__:
         real = np.abs(t.W).sum(axis=2) > 0  # (L, K) mask of non-padded slots
         vals = Z[:, real]
         assert vals.size == 0 or (

@@ -5,7 +5,6 @@ import pytest
 
 from cmrf.cnf import ConstraintSet, clause
 from cmrf.metrics import (
-    MetricReport,
     grad_error,
     map_at_10,
     resample_stats,
@@ -163,11 +162,3 @@ class TestResampleStats:
         path = tmp_path / "hist.csv"
         save_histogram_csv({1: 5, 3: 2}, path)
         assert path.read_text().splitlines() == ["round,count", "1,5", "3,2"]
-
-
-def test_metric_report_serialization():
-    report = MetricReport(validity=1.0, map_at_10=50.0, resample_histogram={2: 7, 1: 3})
-    payload = report.to_dict()
-    assert payload["validity"] == 1.0
-    assert "nll" not in payload
-    assert list(payload["resample_histogram"]) == ["1", "2"]
