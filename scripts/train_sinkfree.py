@@ -10,6 +10,7 @@ Example:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,30 +18,37 @@ import numpy as np
 from cmrf.learn import TrainConfig, neg_log_likelihood, save_trace_csv, train
 from cmrf.metrics import map_at_10
 from cmrf.model import ModelParams, save_model
-from cmrf.oracle import exact_distribution
+from cmrf.oracle import EmptySupportError, exact_distribution
 from cmrf.problems import gen_sinkfree, gen_training_set, save_instance
+from cmrf.samplers import SAMPLERS
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--vertices", type=int, default=8)
     parser.add_argument("--train-size", type=int, default=200)
-    parser.add_argument("--m", type=int, default=200)
-    parser.add_argument("--eta", type=float, default=0.1)
+    parser.add_argument("--m", type=int, default=TrainConfig.m)
+    parser.add_argument("--eta", type=float, default=TrainConfig.eta)
     parser.add_argument("--iters", type=int, default=300)
-    parser.add_argument("--sampler", default="nelson",
-                        choices=["nelson", "moser_tardos", "gibbs"])
+    parser.add_argument("--sampler", default="nelson", choices=sorted(SAMPLERS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=Path("sinkfree-run"))
     args = parser.parse_args()
 
     inst = gen_sinkfree(args.vertices, seed=args.seed)
     cs = inst.constraints
+    theta0 = ModelParams(np.zeros(cs.n_vars))
+    # Some graphs (a tree, for one) have no sink-free orientation: stop here
+    # rather than let the sampler spend its whole budget on one.
+    try:
+        support = exact_distribution(cs, theta0).support
+    except EmptySupportError:
+        sys.exit(f"no sink-free orientation of this {args.vertices}-vertex graph "
+                 f"({cs.n_vars} edges); try another --seed or more --vertices")
     rng = np.random.default_rng(args.seed)
     theta_star = ModelParams(rng.uniform(-1, 1, cs.n_vars))
     ds = gen_training_set(inst, theta_star, args.train_size, seed=args.seed + 1)
 
-    theta0 = ModelParams(np.zeros(cs.n_vars))
     cfg = TrainConfig(
         m=args.m,
         eta=args.eta,
@@ -61,7 +69,6 @@ def main():
     for r in ds.assignments:
         counts[tuple(r)] = counts.get(tuple(r), 0) + 1
     preferred = [np.array(r) for r in sorted(counts, key=lambda r: (-counts[r], r))[:10]]
-    support = exact_distribution(cs, theta0).support
     candidates = [row for row in support if tuple(row) not in counts]
     unseen = candidates[:: max(1, len(candidates) // 40)][:40]
 

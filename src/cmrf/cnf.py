@@ -293,6 +293,8 @@ class Dataset:
     def validate(self, cs: ConstraintSet) -> None:
         if self.n_vars != cs.n_vars:
             raise ValueError("dataset width does not match constraint set")
+        if not len(self):
+            raise ValueError("dataset has no rows")
         ok = satisfies_all(cs, self.assignments)
         if not ok.all():
             bad = int(np.nonzero(~ok)[0][0])

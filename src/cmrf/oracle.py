@@ -47,8 +47,14 @@ class ExactDistribution:
         return _weigh(self.support, m)
 
     def mean(self) -> np.ndarray:
-        """Coordinate-wise mean of x: the gradient of log Z in theta."""
-        return self.probabilities @ self.support.astype(np.float64)
+        """Coordinate-wise mean of x: the gradient of log Z in theta. The
+        support is converted to float64 _WEIGH_ROWS rows at a time, never
+        whole."""
+        total = np.zeros(self.support.shape[1])
+        for i in range(0, len(self.support), _WEIGH_ROWS):
+            rows = slice(i, i + _WEIGH_ROWS)
+            total += self.probabilities[rows] @ self.support[rows].astype(np.float64)
+        return total
 
 
 @dataclass

@@ -23,10 +23,6 @@ class ProblemInstance:
     constraints: ConstraintSet
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def family(self) -> str:
-        return self.metadata.get("family", "unknown")
-
 
 def gen_ksat(n: int, L: int, K: int, seed: int = 0) -> ProblemInstance:
     """L random clauses of exactly K distinct variables, fair-coin polarities."""
@@ -60,6 +56,8 @@ def gen_sinkfree(num_vertices: int, edge_prob: float = 0.55, seed: int = 0) -> P
     """
     if num_vertices < 2:
         raise ValueError("need at least two vertices")
+    if not 0 < edge_prob <= 1:
+        raise ValueError(f"edge_prob {edge_prob} is outside (0, 1]")
     # Graph attempt a draws one uniform per vertex pair, counters a*P ..
     # (a+1)*P-1, in np.triu_indices order.
     graph_seed = fold_seed(seed, "sinkfree")
@@ -70,7 +68,9 @@ def gen_sinkfree(num_vertices: int, edge_prob: float = 0.55, seed: int = 0) -> P
         if np.bincount(edges.ravel(), minlength=num_vertices).min() >= 1:
             break
     else:
-        raise RuntimeError("no graph with minimum degree >= 1 in 1000 draws")
+        raise ValueError(
+            f"no graph with minimum degree >= 1 in 1000 draws at edge_prob {edge_prob};"
+            " raise edge_prob (--edge-prob)")
 
     edges = edges.tolist()
     lits = [[] for _ in range(num_vertices)]

@@ -56,6 +56,7 @@ class TestBuildPlan:
              "--what", "grad", "--out", str(tmp_path / "o")]
         )
         assert plan.command == "oracle" and plan.options["what"] == "grad"
+        assert "seed" not in plan.options  # enumeration draws nothing
 
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
@@ -76,7 +77,8 @@ class TestGen:
         assert (out / "instance.cnf").exists()
         sidecar = json.loads((out / "instance.json").read_text())
         assert sidecar["family"] == "sinkfree"
-        assert (out / "manifest.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "options", "version"]
 
     def test_routes_writes_theta(self, tmp_path):
         out = tmp_path / "out"
@@ -384,6 +386,14 @@ class TestErrorPaths:
     def test_malformed_theta_exits_1(self, tmp_path, capsys, text):
         assert self._sample(tmp_path, text) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("edge_prob", ["0", "-1"])
+    def test_sinkfree_edge_prob_out_of_range_exits_1(self, tmp_path, capsys, edge_prob):
+        code = run(["gen", "--family", "sinkfree", "--size", "4", "--edge-prob", edge_prob,
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "edge_prob" in error["message"]
 
     def test_usage_error_exits_1(self):
         assert run(["train", "--cnf", "x"]) == EXIT_USAGE

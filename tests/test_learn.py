@@ -170,6 +170,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="violates"):
             train(ds, toy_cs, TrainConfig(t_max=1, seed=0), ModelParams(np.zeros(3)))
 
+    def test_empty_dataset_rejected(self, toy_cs, toy_uniform):
+        inst = ProblemInstance(constraints=toy_cs)
+        ds = gen_training_set(inst, toy_uniform, 0)
+        with pytest.raises(ValueError, match="no rows"):
+            train(ds, toy_cs, TrainConfig(t_max=1), toy_uniform)
+        with pytest.raises(ValueError, match="no rows"):
+            neg_log_likelihood(toy_uniform, ds, toy_cs)
+
     def test_sampler_exhaustion_propagates(self):
         cs = ConstraintSet(n_vars=2, clauses=(clause(1), clause(-1)))
         ds = Dataset(np.array([[1, 0]], dtype=np.uint8), n_vars=2)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cmrf import oracle
 from cmrf.cnf import ConstraintSet, clause
 from cmrf.model import ModelParams
 from cmrf.oracle import (
@@ -67,6 +68,15 @@ class TestExactDistribution:
             assert np.array_equal(moved.mean(), exact_grad_log_partition(cs, m))
         with pytest.raises(ValueError, match="theta length"):
             base.reweight(ModelParams(np.zeros(17)))
+
+    def test_mean_in_row_chunks(self, monkeypatch):
+        cs = gen_ksat(10, 4, 3, seed=0).constraints
+        dist = exact_distribution(cs, ModelParams(np.linspace(-1.0, 1.0, 10)))
+        whole = dist.probabilities @ dist.support.astype(np.float64)
+        assert np.array_equal(dist.mean(), whole)  # one chunk: the same product
+        monkeypatch.setattr(oracle, "_WEIGH_ROWS", 7)
+        assert len(dist.support) > 7 * 10
+        assert np.abs(dist.mean() - whole).max() <= 1e-12
 
     def test_probabilities_sum_to_one(self):
         for _, cs in corpus.extremal_corpus()[:6]:

@@ -112,6 +112,15 @@ class TestSinkfree:
                 degree[b] += 1
             assert min(degree) >= 1
 
+    @pytest.mark.parametrize("edge_prob", [0.0, -1.0, 1.5])
+    def test_edge_prob_out_of_range(self, edge_prob):
+        with pytest.raises(ValueError, match="outside"):
+            gen_sinkfree(4, edge_prob=edge_prob)
+
+    def test_gives_up_with_value_error(self):
+        with pytest.raises(ValueError, match="raise edge_prob"):
+            gen_sinkfree(4, edge_prob=1e-9)
+
 
 class TestRoutes:
     def test_three_cities(self):

@@ -1,0 +1,57 @@
+"""The demo scripts under scripts/ run end to end on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cmrf
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run_script(tmp_path, name, *args):
+    # The child imports the same cmrf as this process, installed or not.
+    src = str(Path(cmrf.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+
+
+def test_sampler_bias_check(tmp_path):
+    proc = _run_script(tmp_path, "sampler_bias_check.py",
+                       "--draws", "2000", "--vertices", "4", "--instances", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 2 * 2  # header, two weights per instance
+
+
+def test_resample_rounds(tmp_path):
+    out = tmp_path / "rounds"
+    proc = _run_script(tmp_path, "resample_rounds.py", "--n", "8", "--clauses", "4",
+                       "--runs", "500", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["all-violated.csv", "one-violated.csv"]
+
+
+def test_train_sinkfree(tmp_path):
+    out = tmp_path / "run"
+    proc = _run_script(tmp_path, "train_sinkfree.py", "--vertices", "8", "--iters", "5",
+                       "--train-size", "50", "--m", "50", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "NLL" in proc.stdout
+    assert {"model.json", "trace.csv", "train.txt"} <= {p.name for p in out.iterdir()}
+
+
+def test_train_sinkfree_without_orientation_exits_1(tmp_path):
+    # Seed 0 draws a 5-vertex tree, which has no sink-free orientation.
+    proc = _run_script(tmp_path, "train_sinkfree.py", "--vertices", "5",
+                       "--out", str(tmp_path / "run"))
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and "no sink-free orientation" in proc.stderr
+    assert not (tmp_path / "run").exists()
