@@ -151,6 +151,10 @@ def test_golden_fingerprint(name):
 SAMPLE_FILES = ("samples.txt", "stats.json", "histogram.csv")
 
 
+def _cli_files(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 def _cli_sample(tmp_path, inst, theta, sampler, n, *extra):
     save_instance(inst, tmp_path / "instance.cnf", tmp_path / "instance.json")
     save_model(ModelParams(theta), tmp_path / "theta.json")
@@ -159,8 +163,7 @@ def _cli_sample(tmp_path, inst, theta, sampler, n, *extra):
                 "--theta", str(tmp_path / "theta.json"), "--sampler", sampler,
                 "--n", str(n), "--seed", "1", "--out", str(out), *extra])
     assert code == 0
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in SAMPLE_FILES}
+    return _cli_files(out, SAMPLE_FILES)
 
 
 def _cli_sinkfree(sampler, n, *extra):
@@ -274,10 +277,6 @@ def _small_sinkfree(tmp_path):
     args = ["--cnf", str(tmp_path / "instance.cnf"), "--groups", str(tmp_path / "instance.json"),
             "--theta", str(tmp_path / "theta.json")]
     return args, exact_distribution(inst.constraints, theta).support
-
-
-def _cli_files(out, names):
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 def _cli_eval(*extra):
