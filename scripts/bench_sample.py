@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of `cmrf sample` as --n grows.
+"""Wall time, valid rows/s, rounds and peak memory of `cmrf sample`.
 
 Each size runs in a fresh Python process that imports cmrf from --src,
-writes the --instance with zero weights, then times one
-`cmrf sample --sampler nelson --n N` call with perf_counter and reports its
-own peak RSS (ru_maxrss). An instance is `sinkfree:V`, gen_sinkfree(V, 0.1,
-seed=1), or `ksat:N`, gen_ksat(N, N, 3, seed=1) (what `cmrf gen --family
-ksat --size N --k 3 --seed 1` writes). The results, with the git revision
-of --src, the numpy version and the CPU count, are stored under --label in
-the output JSON; other labels, and runs of other instances under the same
-label, are kept, so checkouts and instance ladders can be compared in one
-file:
+writes the --instance with its weights, then times one
+`cmrf sample --sampler S --n N` call with perf_counter and reports its
+own peak RSS (ru_maxrss) and what the call wrote to stats.json. An instance
+is `sinkfree:V`, gen_sinkfree(V, 0.1, seed=1) with zero weights, `ksat:N`,
+gen_ksat(N, N, 3, seed=1) with zero weights (what `cmrf gen --family ksat
+--size N --k 3 --seed 1` writes), or `routes:C`, gen_routes(C, seed=0) with
+its exactly-one groups and instance weights. Each run reports `wall_s`,
+`peak_rss_mb`, `exhausted` (INVALID rows), `valid_share` (valid rows / N),
+`valid_rows_per_s` (valid rows / wall_s) and `mean_rounds` (mean of the
+rounds in stats.json; for gibbs the sweep at which each row was emitted).
+The results, with the git revision of --src, the numpy version and the CPU
+count, are stored under --label in the output JSON; other labels, and runs
+of other instances or samplers under the same label, are kept, so checkouts
+and instance ladders can be compared in one file:
 
     python scripts/bench_sample.py --label parent --src ../parent/src --sizes 10000 100000
     python scripts/bench_sample.py --label change
     python scripts/bench_sample.py --label change --instance ksat:10000 --sizes 1000
+    python scripts/bench_sample.py --label change --instance routes:5 --sampler moser \
+        --sizes 2000 --repeats 5 --out BENCH_masked_draws.json
 """
 
 from __future__ import annotations
@@ -30,35 +37,50 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs inside the child: argv[1] is the work directory, argv[2] the row
-# count, argv[3] the instance.
+# count, argv[3] the instance, argv[4] the sampler.
 _CHILD = """
 import json, resource, sys, time
 from pathlib import Path
 import numpy as np
 from cmrf import cli
 from cmrf.model import ModelParams, save_model
-from cmrf.problems import gen_ksat, gen_sinkfree, save_instance
+from cmrf.problems import gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance
 
-work, n = Path(sys.argv[1]), sys.argv[2]
+work, n, sampler = Path(sys.argv[1]), sys.argv[2], sys.argv[4]
 family, size = sys.argv[3].split(":")
 if family == "sinkfree":
     inst = gen_sinkfree(int(size), 0.1, seed=1)
-else:
+elif family == "ksat":
     inst = gen_ksat(int(size), int(size), 3, seed=1)
+else:
+    inst = gen_routes(int(size), seed=0)
 save_instance(inst, work / "instance.cnf", work / "instance.json")
-save_model(ModelParams(np.zeros(inst.constraints.n_vars)), work / "theta.json")
+theta = instance_theta(inst)
+save_model(theta or ModelParams(np.zeros(inst.constraints.n_vars)), work / "theta.json")
 start = time.perf_counter()
 code = cli.run(["sample", "--cnf", str(work / "instance.cnf"),
-                "--theta", str(work / "theta.json"), "--sampler", "nelson",
+                "--groups", str(work / "instance.json"),
+                "--theta", str(work / "theta.json"), "--sampler", sampler,
                 "--n", n, "--seed", "1", "--out", str(work / "out")])
 wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+stats_path = work / "out" / "stats.json"
+stats = json.loads(stats_path.read_text()) if stats_path.exists() else None
+valid = None if stats is None else int(n) - stats["exhausted"]
 print(json.dumps({
     "exit_code": code,
     "wall_s": wall,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak,
+    "exhausted": None if stats is None else stats["exhausted"],
+    "valid_share": None if stats is None else valid / int(n),
+    "valid_rows_per_s": None if stats is None else valid / wall,
+    "mean_rounds": None if stats is None else float(np.mean(stats["rounds"])),
     "numpy": np.__version__,
 }))
 """
+
+RUN_KEYS = ("exit_code", "wall_s", "peak_rss_mb", "exhausted", "valid_share",
+            "valid_rows_per_s", "mean_rounds")
 
 
 def _git_rev(src: Path) -> str | None:
@@ -68,15 +90,16 @@ def _git_rev(src: Path) -> str | None:
 
 def _instance(text: str) -> str:
     family, _, size = text.partition(":")
-    if family not in ("sinkfree", "ksat") or not size.isdigit() or int(size) < 1:
-        raise argparse.ArgumentTypeError(f"expected sinkfree:V or ksat:N, got {text!r}")
+    if family not in ("sinkfree", "ksat", "routes") or not size.isdigit() or int(size) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected sinkfree:V, ksat:N or routes:C, got {text!r}")
     return text
 
 
-def _measure(src: Path, n: int, instance: str) -> dict:
+def _measure(src: Path, n: int, instance: str, sampler: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as work:
-        done = subprocess.run([sys.executable, "-c", _CHILD, work, str(n), instance],
+        done = subprocess.run([sys.executable, "-c", _CHILD, work, str(n), instance, sampler],
                               env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -88,31 +111,43 @@ def main() -> int:
                         help="directory holding the cmrf package to measure")
     parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000, 1_000_000])
     parser.add_argument("--instance", type=_instance, default="sinkfree:80",
-                        help="sinkfree:V or ksat:N (default: sinkfree:80)")
+                        help="sinkfree:V, ksat:N or routes:C (default: sinkfree:80)")
+    parser.add_argument("--sampler", choices=["nelson", "moser", "gibbs"], default="nelson")
+    parser.add_argument("--repeats", type=int, default=1, help="runs per size")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sample_stream.json")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
 
     src = args.src.resolve()
     runs = []
     for n in args.sizes:
-        result = _measure(src, n, args.instance)
-        print(f"{args.label}: {args.instance} n={n} wall {result['wall_s']:.2f} s, "
-              f"peak RSS {result['peak_rss_mb']:.1f} MB, exit {result['exit_code']}")
-        runs.append({"instance": args.instance, "n": n,
-                     **{k: result[k] for k in ("exit_code", "wall_s", "peak_rss_mb")}})
+        for _ in range(args.repeats):
+            result = _measure(src, n, args.instance, args.sampler)
+            rate = result["valid_rows_per_s"]
+            print(f"{args.label}: {args.sampler} {args.instance} n={n} "
+                  f"wall {result['wall_s']:.2f} s, "
+                  f"{'-' if rate is None else f'{rate:.0f}'} valid rows/s, "
+                  f"peak RSS {result['peak_rss_mb']:.1f} MB, exit {result['exit_code']}")
+            runs.append({"instance": args.instance, "sampler": args.sampler, "n": n,
+                         **{k: result[k] for k in RUN_KEYS}})
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report["workload"] = ("cmrf sample --sampler nelson --seed 1 on each run's instance "
-                          "(sinkfree:V is gen_sinkfree(V, 0.1, seed=1), ksat:N is "
-                          "gen_ksat(N, N, 3, seed=1)), zero weights; wall_s times cli.run "
-                          "in a fresh process, peak_rss_mb is that process's ru_maxrss")
+    report["workload"] = ("cmrf sample --seed 1 with each run's sampler on each run's "
+                          "instance (sinkfree:V is gen_sinkfree(V, 0.1, seed=1) and ksat:N "
+                          "gen_ksat(N, N, 3, seed=1), both with zero weights; routes:C is "
+                          "gen_routes(C, seed=0) with its groups and weights); wall_s times "
+                          "cli.run in a fresh process, peak_rss_mb is that process's "
+                          "ru_maxrss, the rest comes from stats.json")
     kept = report.setdefault("results", {}).get(args.label, {}).get("runs", [])
     report["results"][args.label] = {
         "git_rev": _git_rev(src),
         "numpy": result["numpy"],
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
-        "runs": [r for r in kept if r.get("instance") != args.instance] + runs,
+        "runs": [r for r in kept
+                 if (r.get("instance"), r.get("sampler", "nelson"))
+                 != (args.instance, args.sampler)] + runs,
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

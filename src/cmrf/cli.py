@@ -67,8 +67,9 @@ def _build_parser() -> _Parser:
     gen.add_argument("--family", required=True, choices=["ksat", "sinkfree", "routes"])
     gen.add_argument("--size", required=True, type=int,
                      help="variables (ksat), vertices (sinkfree), cities (routes)")
-    gen.add_argument("--k", type=int, default=5, help="clause width for ksat")
-    gen.add_argument("--edge-prob", type=float, default=0.55)
+    gen.add_argument("--k", type=int, default=None, help="clause width for ksat (default: 5)")
+    gen.add_argument("--edge-prob", type=float, default=None,
+                     help="edge probability for sinkfree (default: 0.55)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -105,7 +106,8 @@ def _build_parser() -> _Parser:
     ev.add_argument("--unseen", required=True)
     ev.add_argument("--grad-m", type=int, default=None,
                     help="also estimate gradient error with this many samples")
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=int, default=None,
+                    help="seed of the --grad-m draws (default: 0)")
     ev.add_argument("--out", default=".", help="output directory (default: current)")
 
     orc = sub.add_parser("oracle", help="exact enumeration quantities")
@@ -118,11 +120,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Options that only some runs of a command read: command -> option -> (does
+# this run read it, its default there). Given to a run that does not read it,
+# the option is a usage error; left unset there, the plan holds None.
+_READ_ONLY_BY = {
+    "gen": {"k": (lambda o: o["family"] == "ksat", 5),
+            "edge_prob": (lambda o: o["family"] == "sinkfree", 0.55)},
+    "eval": {"seed": (lambda o: o["grad_m"] is not None, 0)},
+}
+
+
 def build_plan(argv: list[str]) -> RunPlan:
     """Resolve argv into a fully defaulted plan; raises UsageError on bad input."""
     namespace = _build_parser().parse_args(argv)
     options = vars(namespace)
     command = options.pop("command")
+    for name, (reads, default) in _READ_ONLY_BY.get(command, {}).items():
+        if not reads(options):
+            if options[name] is not None:
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"{command}: this run does not read {flag}")
+        elif options[name] is None:
+            options[name] = default
     return RunPlan(command=command, options=options)
 
 

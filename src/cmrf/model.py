@@ -161,15 +161,3 @@ def load_model(path) -> ModelParams:
         raise ValueError(f'model file is not {{"theta": [numbers]}}: {exc!r}') from exc
     return ModelParams(theta)
 
-
-def load_factor_spec(path) -> FactorSpec:
-    """Read {"linear": {"i": coef}, "pairwise": [[i, j, coef], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    linear = {int(k): float(v) for k, v in payload.get("linear", {}).items()}
-    pairwise = {}
-    for entry in payload.get("pairwise", []):
-        if len(entry) != 3:
-            raise ValueError(f"pairwise entry must be [i, j, coef], got {entry!r}")
-        pairwise[(int(entry[0]), int(entry[1]))] = float(entry[2])
-    return FactorSpec(linear=linear, pairwise=pairwise)

@@ -162,19 +162,6 @@ def expected_resamples(cs: ConstraintSet, m: ModelParams) -> ResampleExpectation
     )
 
 
-def violation_pattern_probs(cs: ConstraintSet, m: ModelParams) -> dict[frozenset[int], float]:
-    """Product-measure probability of every violated-constraint pattern."""
-    out: dict[frozenset[int], float] = {}
-    for bits, viol in _enumerate(cs, m):
-        patterns, which = np.unique(viol, axis=0, return_inverse=True)
-        sums = np.bincount(which.ravel(), weights=product_measure_weights(m, bits))
-        for row, w in zip(patterns, sums.tolist()):
-            key = frozenset(np.flatnonzero(row).tolist())
-            out[key] = out.get(key, 0.0) + w
-        del bits, viol
-    return out
-
-
 def tv_distance(p: dict, q: dict) -> float:
     """Total-variation distance between two probability tables.
 

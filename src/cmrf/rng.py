@@ -10,6 +10,8 @@ re-derive its own stream from the plan seed.
 The mixing function is the splitmix64 finalizer applied once per key field
 by hash_u64, implemented directly on uint64 arrays so whole (rows x
 variables) fields of uniforms come out of a handful of vectorized ops.
+Because a field's cells are keyed, not drawn in sequence, bernoulli_cells
+can hash any subset of a field's cells and give exactly the field's bits.
 """
 
 from __future__ import annotations
@@ -23,12 +25,18 @@ _U64_MASK = (1 << 64) - 1
 
 
 def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
-    """splitmix64 finalizer; full avalanche on uint64, wraps mod 2**64."""
+    """splitmix64 finalizer; full avalanche on uint64, wraps mod 2**64.
+
+    The first add makes the result; on arrays every later step works in
+    place on it, so only the shifts allocate."""
     with np.errstate(over="ignore"):
         x = x + _GOLDEN
-        x = (x ^ (x >> np.uint64(30))) * _MIX_1
-        x = (x ^ (x >> np.uint64(27))) * _MIX_2
-        return x ^ (x >> np.uint64(31))
+        x ^= x >> np.uint64(30)
+        x *= _MIX_1
+        x ^= x >> np.uint64(27)
+        x *= _MIX_2
+        x ^= x >> np.uint64(31)
+        return x
 
 
 def _as_u64(value) -> np.uint64 | np.ndarray:
@@ -94,9 +102,43 @@ def _threshold(p) -> np.ndarray:
     return (top.astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
 
 
+# Cells per block of bernoulli_field and bernoulli_cells. Blocks this size
+# keep the hash buffers in cache; blocks of 16k and 256k cells built a
+# 4096 x 299 field slower (BENCH_masked_draws.json).
+_BLOCK_CELLS = 65_536
+
+
+def _row_prefix(seed: int, rows, round_index: int) -> np.ndarray:
+    """The hash of (seed, row, round) per row. The hash of (seed, row, round,
+    slot) is hash_u64(prefix ^ slot), one finalizer pass per cell."""
+    return hash_u64(seed, np.asarray(rows, dtype=np.uint64).reshape(-1), round_index)
+
+
 def bernoulli_field(seed: int, rows: np.ndarray, round_index: int, p_zero) -> np.ndarray:
     """Bits keyed like uniform_field, (len(rows), len(p_zero)) bool, equal to
     uniform_field(seed, rows, round_index, len(p_zero)) > p_zero for p_zero
-    in [0, 1], but compared as integers without the float conversion."""
+    in [0, 1], but compared as integers without the float conversion. The
+    field is hashed in row blocks of about _BLOCK_CELLS cells."""
     threshold = _threshold(p_zero)
-    return _field(seed, rows, round_index, threshold.size) > threshold
+    prefix = _row_prefix(seed, rows, round_index)
+    slots = np.arange(threshold.size, dtype=np.uint64)
+    bits = np.empty((prefix.size, threshold.size), dtype=bool)
+    step = max(1, _BLOCK_CELLS // max(1, threshold.size))
+    for start in range(0, prefix.size, step):
+        block = prefix[start:start + step, None] ^ slots
+        np.greater(hash_u64(block), threshold, out=bits[start:start + step])
+    return bits
+
+
+def bernoulli_cells(seed: int, rows: np.ndarray, round_index: int, p_zero,
+                    cells: np.ndarray) -> np.ndarray:
+    """bernoulli_field(seed, rows, round_index, p_zero).ravel()[cells], hashing
+    only those cells, _BLOCK_CELLS of them at a time."""
+    threshold = _threshold(p_zero)
+    prefix = _row_prefix(seed, rows, round_index)
+    bits = np.empty(cells.size, dtype=bool)
+    for start in range(0, cells.size, _BLOCK_CELLS):
+        r, c = np.divmod(cells[start:start + _BLOCK_CELLS], threshold.size)
+        block = prefix[r] ^ c.astype(np.uint64)
+        np.greater(hash_u64(block), threshold[c], out=bits[start:start + _BLOCK_CELLS])
+    return bits

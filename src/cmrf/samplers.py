@@ -24,12 +24,13 @@ bit-identical and every run is reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .cnf import ConstraintSet, Literal
 from .model import ModelParams, marginals
-from .rng import bernoulli_field, fold_seed, uniform_field
+from .rng import bernoulli_cells, bernoulli_field, fold_seed, uniform_field
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -173,18 +174,30 @@ class _ConstraintKernel:
         return out
 
 
+@lru_cache(maxsize=8)
+def _kernel(cs: ConstraintSet) -> _ConstraintKernel:
+    """The kernel of cs, built once per constraint set: `cmrf sample` calls a
+    sampler per chunk and `train` per CD iteration, all on one set."""
+    return _ConstraintKernel(cs)
+
+
 def _append_records(records, active, S):
     for local in np.nonzero(S.any(axis=1))[0]:
         records[active[local]].append(frozenset(np.nonzero(S[local])[0].tolist()))
 
 
+# Share of the (active rows x n) cells a round redraws above which it hashes
+# the whole field; below it, only the masked cells (BENCH_masked_draws.json).
+_DENSE_SHARE = 0.25
+
+
 def _resample_rounds(cs, m, cfg, resample_all: bool):
-    kernel = _ConstraintKernel(cs)
+    kernel = _kernel(cs)
     b = cfg.batch_size
     p_zero = marginals(m)
     row_ids = cfg.row_offset + np.arange(b, dtype=np.int64)
 
-    X = bernoulli_field(cfg.seed, row_ids, 0, p_zero).astype(np.uint8)
+    X = bernoulli_field(cfg.seed, row_ids, 0, p_zero).view(np.uint8)
     rounds = np.zeros(b, dtype=np.int64)
     valid = np.zeros(b, dtype=bool)
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
@@ -212,8 +225,14 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             S[np.arange(first.size), first] = True
         tally += S.sum(axis=0)
         mask = kernel.union_mask(S)
-        draws = bernoulli_field(cfg.seed, row_ids[active], t, p_zero)
-        X[active] = np.where(mask, draws, X[active])
+        ids = row_ids[active]
+        if np.count_nonzero(mask) > _DENSE_SHARE * mask.size:
+            X[active] = np.where(mask, bernoulli_field(cfg.seed, ids, t, p_zero), X[active])
+        else:  # the same bits, hashed only at the masked cells
+            cells = np.flatnonzero(mask)
+            redrawn = X[active]
+            redrawn.reshape(-1)[cells] = bernoulli_cells(cfg.seed, ids, t, p_zero, cells)
+            X[active] = redrawn
 
     batch = AssignmentBatch(rows=X, valid_flags=valid)
     stats = SamplerStats(
@@ -261,7 +280,7 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
     """
     _check_shapes(cs, m)
     n = cs.n_vars
-    kernel = _ConstraintKernel(cs)
+    kernel = _kernel(cs)
     if init is None:
         init_cfg = replace(cfg, batch_size=_RETRY_BATCHES, record=False, row_offset=0,
                            seed=fold_seed(cfg.seed, "gibbs-init"))

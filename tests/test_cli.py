@@ -395,6 +395,38 @@ class TestErrorPaths:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ValueError" and "edge_prob" in error["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "routes", "--size", "3", "--edge-prob", "0", "--k", "99"],
+        ["gen", "--family", "routes", "--size", "3", "--k", "3"],
+        ["gen", "--family", "sinkfree", "--size", "4", "--k", "3"],
+        ["gen", "--family", "ksat", "--size", "5", "--edge-prob", "0.5"],
+    ])
+    def test_gen_flag_the_family_ignores_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "does not read" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+    def test_eval_seed_without_grad_m_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["eval", "--cnf", "x.cnf", "--theta", "t.json", "--preferred", "p.txt",
+                    "--unseen", "u.txt", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--seed" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+    def test_conditional_options_resolve_only_where_read(self):
+        def options(*argv):
+            return build_plan([*argv, "--out", "o"]).options
+
+        assert (options("gen", "--family", "ksat", "--size", "5")["k"],
+                options("gen", "--family", "sinkfree", "--size", "4")["edge_prob"]) == (5, 0.55)
+        routes = options("gen", "--family", "routes", "--size", "3")
+        assert routes["k"] is None and routes["edge_prob"] is None
+        ev = ("eval", "--cnf", "c", "--theta", "t", "--preferred", "p", "--unseen", "u")
+        assert options(*ev)["seed"] is None
+        assert options(*ev, "--grad-m", "10")["seed"] == 0
+
     def test_usage_error_exits_1(self):
         assert run(["train", "--cnf", "x"]) == EXIT_USAGE
 

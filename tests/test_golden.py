@@ -25,6 +25,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cmrf import samplers
 from cmrf.cli import run
 from cmrf.cnf import ConstraintSet, clause, encode_rows
 from cmrf.learn import TrainConfig, train
@@ -145,6 +146,16 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_fingerprint(name):
+    assert CASES[name]() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("share", [1.0, -1.0], ids=["all_sparse", "all_dense"])
+@pytest.mark.parametrize("name", ["nelson_sinkfree", "moser_sinkfree", "nelson_routes",
+                                  "moser_routes"])
+def test_resampler_golden_on_either_draw_path(name, share, monkeypatch):
+    # A round hashes only its masked cells unless more than _DENSE_SHARE of
+    # them are masked; both paths must give the same bytes.
+    monkeypatch.setattr(samplers, "_DENSE_SHARE", share)
     assert CASES[name]() == GOLDEN[name]
 
 

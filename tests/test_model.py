@@ -8,7 +8,6 @@ from cmrf.cnf import ConstraintSet, check_extremal, clause, violated_constraints
 from cmrf.model import (
     FactorSpec,
     ModelParams,
-    load_factor_spec,
     load_model,
     marginals,
     pairwise_to_single,
@@ -163,19 +162,6 @@ class TestModelFiles:
         path.write_text('{"n": 2, "theta": [0.0]}')
         with pytest.raises(ValueError, match="does not match"):
             load_model(path)
-
-    def test_factor_spec_load(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text('{"linear": {"0": 0.5}, "pairwise": [["0", "1", 0.7]]}')
-        spec = load_factor_spec(path)
-        assert spec.linear == {0: 0.5}
-        assert spec.pairwise == {(0, 1): 0.7}
-
-    def test_factor_spec_bad_pairwise(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text('{"pairwise": [[0, 1]]}')
-        with pytest.raises(ValueError, match="pairwise"):
-            load_factor_spec(path)
 
 
 def test_random_pairwise_models_preserved():

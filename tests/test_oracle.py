@@ -14,7 +14,6 @@ from cmrf.oracle import (
     exact_grad_log_partition,
     expected_resamples,
     tv_distance,
-    violation_pattern_probs,
 )
 from cmrf.problems import gen_ksat
 
@@ -143,20 +142,6 @@ class TestExpectedResamples:
         cs = ConstraintSet(n_vars=1, clauses=(clause(1), clause(-1)))
         with pytest.raises(EmptySupportError):
             expected_resamples(cs, ModelParams([0.0]))
-
-    def test_patterns_partition_unity(self):
-        for _, cs in corpus.extremal_corpus()[:5]:
-            if cs.n_vars > 10:
-                continue
-            m = corpus.uniform_params(cs)
-            patterns = violation_pattern_probs(cs, m)
-            assert sum(patterns.values()) == pytest.approx(1.0, abs=1e-12)
-            er = expected_resamples(cs, m)
-            assert patterns.get(frozenset(), 0.0) == pytest.approx(er.q_empty)
-            for j in range(cs.n_constraints):
-                assert patterns.get(frozenset({j}), 0.0) == pytest.approx(
-                    er.q_single[j]
-                )
 
 
 class TestTvDistance:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cmrf.rng import _threshold, _to_unit, bernoulli_field, uniform_field
+from cmrf import rng
+from cmrf.rng import _threshold, _to_unit, bernoulli_cells, bernoulli_field, uniform_field
 
 # p values where floor(p * 2**53) or the float compare could go wrong: the
 # ends, the subnormal minimum, one ulp below 0.5 and 1, and 2**-53 / 2**-54,
@@ -45,3 +49,47 @@ def test_bernoulli_field_equals_uniform_compare(round_index):
 def test_bernoulli_field_ends():
     bits = bernoulli_field(5, np.arange(1000), 2, np.array([0.0, 1.0]))
     assert bits[:, 0].all() and not bits[:, 1].any()
+
+
+WIDTH = 300
+BLOCK_ROWS = rng._BLOCK_CELLS // WIDTH  # rows per block at WIDTH
+
+
+@pytest.mark.parametrize("rows, width", [
+    (0, WIDTH), (1, WIDTH), (BLOCK_ROWS - 1, WIDTH), (BLOCK_ROWS, WIDTH),
+    (BLOCK_ROWS + 1, WIDTH), (3, rng._BLOCK_CELLS + 5),  # one row is wider than a block
+    (5, 0),
+])
+def test_bernoulli_field_at_block_edges(rows, width):
+    p = np.random.default_rng(rows).random(width)
+    ids = np.arange(7, 7 + rows)
+    bits = bernoulli_field(3, ids, 4, p)
+    assert bits.shape == (rows, width)
+    assert np.array_equal(bits, uniform_field(3, ids, 4, width) > p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    round_index=st.integers(0, 2**32),
+    mask=st.integers(0, 30).flatmap(
+        lambda width: arrays(bool, st.tuples(st.integers(0, 20), st.just(width)))),
+    p_seed=st.integers(0, 2**32 - 1),
+)
+def test_bernoulli_cells_equal_the_field_at_the_cells(seed, round_index, mask, p_seed):
+    rows, width = mask.shape
+    p = np.random.default_rng(p_seed).random(width)
+    p[::3] = np.array([0.0, 1.0, 0.5])[np.arange(len(p[::3])) % 3]
+    ids = np.arange(100, 100 + 2 * rows, 2)
+    cells = bernoulli_cells(seed, ids, round_index, p, np.flatnonzero(mask))
+    assert np.array_equal(cells, bernoulli_field(seed, ids, round_index, p)[mask])
+
+
+def test_bernoulli_cells_across_blocks():
+    # More cells than one block holds, in an order that is not row-major.
+    rows, width = 400, 300
+    p = np.random.default_rng(1).random(width)
+    ids = np.arange(rows)
+    cells = np.random.default_rng(2).permutation(rows * width)[: rng._BLOCK_CELLS * 2 + 7]
+    bits = bernoulli_cells(9, ids, 5, p, cells)
+    assert np.array_equal(bits, bernoulli_field(9, ids, 5, p).ravel()[cells])

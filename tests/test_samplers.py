@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmrf import samplers
 from cmrf.cnf import (
     Clause,
     ConstraintSet,
@@ -148,6 +149,26 @@ def test_kernel_matches_reference(case):
     assert np.array_equal(kernel.violations(X), S)
     union = np.array([_support_rows(cs, np.nonzero(s)[0]).any(axis=0) for s in S])
     assert np.array_equal(kernel.union_mask(S), union.reshape(len(X), cs.n_vars))
+
+
+def test_kernel_is_built_once_per_constraint_set(monkeypatch):
+    builds = []
+
+    class Counting(_ConstraintKernel):
+        def __init__(self, cs):
+            builds.append(cs)
+            super().__init__(cs)
+
+    monkeypatch.setattr(samplers, "_ConstraintKernel", Counting)
+    samplers._kernel.cache_clear()
+    cs = ConstraintSet(n_vars=4, clauses=(clause(1, 2), clause(-3, 4)))
+    m = uniform(4)
+    for seed in range(3):
+        nelson_sample(cs, m, SamplerConfig(batch_size=50, seed=seed))
+    moser_tardos_sample(cs, m, SamplerConfig(batch_size=50))
+    gibbs_sample(cs, m, SamplerConfig(batch_size=5, gibbs_burn_in=2, gibbs_thinning=1))
+    assert builds == [cs]
+    samplers._kernel.cache_clear()
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """The demo scripts under scripts/ run end to end on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +56,17 @@ def test_train_sinkfree_without_orientation_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and "no sink-free orientation" in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_bench_sample(tmp_path):
+    out = tmp_path / "bench.json"
+    for sampler in ("nelson", "moser"):
+        proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
+                           "--sampler", sampler, "--sizes", "40", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())["results"]["t"]["runs"]
+    assert [run["sampler"] for run in runs] == ["nelson", "moser"]
+    for run in runs:
+        assert run["exit_code"] == 0 and run["n"] == 40 and run["instance"] == "routes:3"
+        assert run["valid_share"] == (40 - run["exhausted"]) / 40
+        assert run["valid_rows_per_s"] > 0 and run["mean_rounds"] >= 1
