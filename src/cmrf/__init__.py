@@ -24,7 +24,7 @@ from .cnf import (
     violated_constraints,
 )
 from .learn import TrainConfig, cd_step, neg_log_likelihood, train
-from .metrics import grad_error, map_at_10, resample_stats, validity
+from .metrics import grad_error, map_at_10, resample_stats
 from .model import FactorSpec, ModelParams, marginals, pairwise_to_single, potential
 from .oracle import (
     exact_distribution,
@@ -86,6 +86,5 @@ __all__ = [
     "satisfaction_pass",
     "train",
     "tv_distance",
-    "validity",
     "violated_constraints",
 ]

@@ -41,8 +41,6 @@ EXIT_INFEASIBLE = 3
 EXIT_CAP = 4
 EXIT_EXHAUSTED = 5
 
-_SAMPLER_ALIASES = {"nelson": "nelson", "moser": "moser_tardos", "gibbs": "gibbs"}
-
 
 class UsageError(ValueError):
     pass
@@ -77,11 +75,13 @@ def _build_parser() -> _Parser:
     sample.add_argument("--cnf", required=True)
     sample.add_argument("--groups", default=None)
     sample.add_argument("--theta", required=True)
-    sample.add_argument("--sampler", required=True, choices=sorted(_SAMPLER_ALIASES))
+    sample.add_argument("--sampler", required=True, choices=sorted(SAMPLERS))
     sample.add_argument("--n", required=True, type=int, help="number of rows to draw")
     sample.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
-    sample.add_argument("--burn-in", type=int, default=SamplerConfig.gibbs_burn_in)
-    sample.add_argument("--thin", type=int, default=SamplerConfig.gibbs_thinning)
+    sample.add_argument("--burn-in", type=int, default=None,
+                        help=f"gibbs only (default: {SamplerConfig.gibbs_burn_in})")
+    sample.add_argument("--thin", type=int, default=None,
+                        help=f"gibbs only (default: {SamplerConfig.gibbs_thinning})")
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     tr.add_argument("--m", type=int, default=TrainConfig.m)
     tr.add_argument("--eta", type=float, default=TrainConfig.eta)
     tr.add_argument("--iters", type=int, default=TrainConfig.t_max)
-    tr.add_argument("--sampler", default="nelson", choices=sorted(_SAMPLER_ALIASES))
+    tr.add_argument("--sampler", default=TrainConfig.sampler_kind, choices=sorted(SAMPLERS))
     tr.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
     tr.add_argument("--nll-every", type=int, default=TrainConfig.nll_every)
     tr.add_argument("--seed", type=int, default=0)
@@ -126,6 +126,8 @@ def _build_parser() -> _Parser:
 _READ_ONLY_BY = {
     "gen": {"k": (lambda o: o["family"] == "ksat", 5),
             "edge_prob": (lambda o: o["family"] == "sinkfree", 0.55)},
+    "sample": {"burn_in": (lambda o: o["sampler"] == "gibbs", SamplerConfig.gibbs_burn_in),
+               "thin": (lambda o: o["sampler"] == "gibbs", SamplerConfig.gibbs_thinning)},
     "eval": {"seed": (lambda o: o["grad_m"] is not None, 0)},
 }
 
@@ -162,10 +164,10 @@ def _write_manifest(plan: RunPlan, outdir: Path) -> None:
     )
 
 
-def _load_inputs(options, need_theta=True):
-    cs = load_constraints(options["cnf"], options.get("groups"))
-    theta = load_model(options["theta"]) if need_theta else None
-    if theta is not None and theta.n != cs.n_vars:
+def _load_inputs(options):
+    cs = load_constraints(options["cnf"], options["groups"])
+    theta = load_model(options["theta"])
+    if theta.n != cs.n_vars:
         raise DimacsError(
             f"theta length {theta.n} does not match instance width {cs.n_vars}"
         )
@@ -210,17 +212,13 @@ def _write_stats(path: Path, rounds: np.ndarray, tally: np.ndarray, exhausted: i
 def _run_sample(plan: RunPlan, outdir: Path) -> int:
     options = plan.options
     cs, theta = _load_inputs(options)
-    kind = _SAMPLER_ALIASES[options["sampler"]]
+    kind = options["sampler"]
     n = options["n"]
-    cfg = SamplerConfig(
-        batch_size=n,
-        seed=options["seed"],
-        t_tryout=options["tryout"],
-        gibbs_burn_in=options["burn_in"],
-        gibbs_thinning=options["thin"],
-    )
-    # A Gibbs chain is one sequence, so it runs as a single call.
-    chunk = n if kind == "gibbs" else _CHUNK_ROWS
+    cfg = SamplerConfig(batch_size=n, seed=options["seed"], t_tryout=options["tryout"])
+    chunk = _CHUNK_ROWS
+    if kind == "gibbs":  # a Gibbs chain is one sequence, so it runs as a single call
+        cfg = replace(cfg, gibbs_burn_in=options["burn_in"], gibbs_thinning=options["thin"])
+        chunk = n
     rounds = np.empty(n, dtype=np.int64)
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
     exhausted = 0
@@ -243,13 +241,13 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
 
 def _run_train(plan: RunPlan, outdir: Path) -> int:
     options = plan.options
-    cs, _ = _load_inputs(options, need_theta=False)
+    cs = load_constraints(options["cnf"], options["groups"])
     ds = Dataset.load(options["data"])  # train validates it against cs
     cfg = TrainConfig(
         m=options["m"],
         eta=options["eta"],
         t_max=options["iters"],
-        sampler_kind=_SAMPLER_ALIASES[options["sampler"]],
+        sampler_kind=options["sampler"],
         seed=options["seed"],
         t_tryout=options["tryout"],
         nll_every=options["nll_every"],

@@ -1,5 +1,5 @@
-"""Evaluation metrics: validity, MAP@10 ranking score, gradient error,
-resample-round statistics."""
+"""Evaluation metrics: MAP@10 ranking score, gradient error, resample-round
+statistics."""
 
 from __future__ import annotations
 
@@ -8,18 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnf import ConstraintSet, row_keys, satisfies_all
+from .cnf import ConstraintSet, row_keys
 from .model import ModelParams, potential
 from .oracle import exact_grad_log_partition
-from .samplers import AssignmentBatch, SamplerStats, draw_valid_rows
-
-
-def validity(batch: AssignmentBatch, cs: ConstraintSet) -> float:
-    """Fraction of rows satisfying every constraint; exhausted rows count in
-    the denominator like any other draw."""
-    if batch.rows.shape[0] == 0:
-        raise ValueError("empty batch")
-    return float(satisfies_all(cs, batch.rows).mean())
+from .samplers import SamplerStats, draw_valid_rows
 
 
 def map_at_10(theta: ModelParams, preferred, unseen) -> float:

@@ -91,8 +91,10 @@ def uniform_field(seed: int, rows: np.ndarray, round_index: int, n_slots: int) -
     return _to_unit(_field(seed, rows, round_index, n_slots))
 
 
-def _threshold(p) -> np.ndarray:
-    """The largest hash h with _to_unit(h) <= p, for each p in [0, 1].
+def bernoulli_threshold(p) -> np.ndarray:
+    """The largest hash h with _to_unit(h) <= p, for each p in [0, 1]: the
+    form in which bernoulli_field and bernoulli_cells take the zero
+    probabilities, so a caller that draws many fields converts them once.
 
     _to_unit(h) is k * 2**-53 with k = h >> 11, so it exceeds p exactly when
     k > T = floor(p * 2**53), that is when h > (T << 11) | 2047. Capping T at
@@ -114,12 +116,13 @@ def _row_prefix(seed: int, rows, round_index: int) -> np.ndarray:
     return hash_u64(seed, np.asarray(rows, dtype=np.uint64).reshape(-1), round_index)
 
 
-def bernoulli_field(seed: int, rows: np.ndarray, round_index: int, p_zero) -> np.ndarray:
-    """Bits keyed like uniform_field, (len(rows), len(p_zero)) bool, equal to
-    uniform_field(seed, rows, round_index, len(p_zero)) > p_zero for p_zero
-    in [0, 1], but compared as integers without the float conversion. The
-    field is hashed in row blocks of about _BLOCK_CELLS cells."""
-    threshold = _threshold(p_zero)
+def bernoulli_field(seed: int, rows: np.ndarray, round_index: int,
+                    threshold: np.ndarray) -> np.ndarray:
+    """Bits keyed like uniform_field, (len(rows), len(threshold)) bool. For
+    threshold = bernoulli_threshold(p_zero), p_zero in [0, 1], they equal
+    uniform_field(seed, rows, round_index, len(p_zero)) > p_zero, but are
+    compared as integers without the float conversion. The field is hashed in
+    row blocks of about _BLOCK_CELLS cells."""
     prefix = _row_prefix(seed, rows, round_index)
     slots = np.arange(threshold.size, dtype=np.uint64)
     bits = np.empty((prefix.size, threshold.size), dtype=bool)
@@ -130,11 +133,10 @@ def bernoulli_field(seed: int, rows: np.ndarray, round_index: int, p_zero) -> np
     return bits
 
 
-def bernoulli_cells(seed: int, rows: np.ndarray, round_index: int, p_zero,
-                    cells: np.ndarray) -> np.ndarray:
-    """bernoulli_field(seed, rows, round_index, p_zero).ravel()[cells], hashing
-    only those cells, _BLOCK_CELLS of them at a time."""
-    threshold = _threshold(p_zero)
+def bernoulli_cells(seed: int, rows: np.ndarray, round_index: int,
+                    threshold: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """bernoulli_field(seed, rows, round_index, threshold).ravel()[cells],
+    hashing only those cells, _BLOCK_CELLS of them at a time."""
     prefix = _row_prefix(seed, rows, round_index)
     bits = np.empty(cells.size, dtype=bool)
     for start in range(0, cells.size, _BLOCK_CELLS):

@@ -13,8 +13,9 @@ rows are distributed according to the constrained model.
   thinning. It starts from a valid assignment and every update keeps it
   valid, so the current value of a site is always a feasible choice.
 
-draw_valid_rows collects a fixed number of valid rows from any of them,
-redrawing tryout-exhausted batches with derived seeds.
+SAMPLERS names them nelson, moser and gibbs. draw_valid_rows collects a
+fixed number of valid rows from any of them, redrawing tryout-exhausted
+batches with derived seeds.
 
 All randomness is counter-based (see rng): a draw for (row, round, variable)
 never depends on batch size or scheduling, so batched and sequential runs are
@@ -30,7 +31,7 @@ import numpy as np
 
 from .cnf import ConstraintSet, Literal
 from .model import ModelParams, marginals
-from .rng import bernoulli_cells, bernoulli_field, fold_seed, uniform_field
+from .rng import bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed, uniform_field
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -194,10 +195,10 @@ _DENSE_SHARE = 0.25
 def _resample_rounds(cs, m, cfg, resample_all: bool):
     kernel = _kernel(cs)
     b = cfg.batch_size
-    p_zero = marginals(m)
+    threshold = bernoulli_threshold(marginals(m))
     row_ids = cfg.row_offset + np.arange(b, dtype=np.int64)
 
-    X = bernoulli_field(cfg.seed, row_ids, 0, p_zero).view(np.uint8)
+    X = bernoulli_field(cfg.seed, row_ids, 0, threshold).view(np.uint8)
     rounds = np.zeros(b, dtype=np.int64)
     valid = np.zeros(b, dtype=bool)
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
@@ -227,11 +228,11 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         mask = kernel.union_mask(S)
         ids = row_ids[active]
         if np.count_nonzero(mask) > _DENSE_SHARE * mask.size:
-            X[active] = np.where(mask, bernoulli_field(cfg.seed, ids, t, p_zero), X[active])
+            X[active] = np.where(mask, bernoulli_field(cfg.seed, ids, t, threshold), X[active])
         else:  # the same bits, hashed only at the masked cells
             cells = np.flatnonzero(mask)
             redrawn = X[active]
-            redrawn.reshape(-1)[cells] = bernoulli_cells(cfg.seed, ids, t, p_zero, cells)
+            redrawn.reshape(-1)[cells] = bernoulli_cells(cfg.seed, ids, t, threshold, cells)
             X[active] = redrawn
 
     batch = AssignmentBatch(rows=X, valid_flags=valid)
@@ -333,7 +334,7 @@ _RETRY_BATCHES = 10  # batches draw_valid_rows tries; also the rows a Gibbs star
 
 SAMPLERS = {
     "nelson": nelson_sample,
-    "moser_tardos": moser_tardos_sample,
+    "moser": moser_tardos_sample,
     "gibbs": gibbs_sample,
 }
 

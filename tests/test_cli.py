@@ -19,9 +19,10 @@ from cmrf.cli import (
     build_plan,
     run,
 )
-from cmrf.cnf import satisfies_all
+from cmrf.cnf import Dataset, load_constraints, satisfies_all
 from cmrf.model import ModelParams, load_model, save_model
 from cmrf.problems import gen_routes, save_instance
+from cmrf.samplers import SAMPLERS
 
 TOY_DIMACS = "p cnf 3 2\n1 2 0\n-1 3 0\n"
 
@@ -44,6 +45,15 @@ class TestBuildPlan:
         assert plan.options["tryout"] == 1000
         assert plan.options["seed"] == 0
         assert plan.options["out"] == "."
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--cnf", "f.cnf", "--theta", "t.json", "--n", "5"],
+        ["train", "--cnf", "f.cnf", "--data", "d.txt"],
+    ], ids=["sample", "train"])
+    def test_sampler_names_are_the_samplers_keys(self, argv):
+        assert build_plan([*argv, "--sampler", "moser"]).options["sampler"] == "moser"
+        with pytest.raises(UsageError, match="moser_tardos"):
+            build_plan([*argv, "--sampler", "moser_tardos"])
 
     def test_train_missing_data(self):
         with pytest.raises(UsageError):
@@ -128,14 +138,27 @@ class TestSample:
         marked = (out / "samples.txt").read_text().splitlines()
         assert all(line.endswith(" INVALID") for line in marked)
 
-    def test_moser_alias_and_gibbs(self, tmp_path):
+    def _sample_options(self, tmp_path, sampler, *extra):
         cnf, theta = _write_toy(tmp_path)
-        for sampler in ("moser", "gibbs"):
-            out = tmp_path / f"out-{sampler}"
-            code = run(["sample", "--cnf", str(cnf), "--theta", str(theta),
-                        "--sampler", sampler, "--n", "50", "--burn-in", "20",
-                        "--thin", "2", "--seed", "1", "--out", str(out)])
-            assert code == 0
+        out = tmp_path / "out"
+        code = run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", sampler,
+                    "--n", "50", "--seed", "1", "--out", str(out), *extra])
+        assert code == 0
+        # Every row is valid: Dataset.load rejects a row that violates the instance.
+        assert len(Dataset.load(out / "samples.txt", load_constraints(cnf))) == 50
+        return json.loads((out / "manifest.json").read_text())["options"]
+
+    @pytest.mark.parametrize("sampler", ["nelson", "moser"])
+    def test_resampler_manifest_leaves_gibbs_flags_null(self, tmp_path, sampler):
+        options = self._sample_options(tmp_path, sampler)
+        assert (options["burn_in"], options["thin"]) == (None, None)
+
+    @pytest.mark.parametrize("extra, expected", [([], (1000, 10)),
+                                                 (["--burn-in", "20", "--thin", "2"], (20, 2))],
+                             ids=["default", "given"])
+    def test_gibbs_manifest_records_burn_in_and_thin(self, tmp_path, extra, expected):
+        options = self._sample_options(tmp_path, "gibbs", *extra)
+        assert (options["burn_in"], options["thin"]) == expected
 
     def test_byte_identical_reruns(self, tmp_path):
         cnf, theta = _write_toy(tmp_path)
@@ -245,6 +268,16 @@ class TestTrainEval:
                     "--preferred", str(preferred), "--unseen", str(unseen),
                     "--out", str(ev_out)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_train_with_every_sampler(self, tmp_path, sampler):
+        cnf, _ = _write_toy(tmp_path)
+        data = tmp_path / "data.txt"
+        data.write_text("011\n111\n101\n")
+        out = tmp_path / "o"
+        assert run(["train", "--cnf", str(cnf), "--data", str(data), "--m", "20",
+                    "--iters", "3", "--sampler", sampler, "--out", str(out)]) == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 4
 
     def test_eval_with_enough_candidates(self, tmp_path):
         out = tmp_path / "gen"
@@ -405,6 +438,17 @@ class TestErrorPaths:
         out = tmp_path / "o"
         assert run([*argv, "--out", str(out)]) == EXIT_USAGE
         assert "does not read" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sampler", ["nelson", "moser"])
+    @pytest.mark.parametrize("flag", ["--burn-in", "--thin"])
+    def test_gibbs_flag_on_a_resampler_exits_1(self, tmp_path, capsys, sampler, flag):
+        cnf, theta = _write_toy(tmp_path)
+        out = tmp_path / "o"
+        code = run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", sampler,
+                    "--n", "5", flag, "3", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert flag in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not out.exists()
 
     def test_eval_seed_without_grad_m_exits_1(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from cmrf.learn import (
 from cmrf.model import ModelParams
 from cmrf.oracle import ExactDistribution, exact_distribution, exact_grad_log_partition
 from cmrf.problems import gen_training_set, ProblemInstance
-from cmrf.samplers import SamplerExhaustedError
+from cmrf.samplers import SAMPLERS, SamplerExhaustedError
 
 
 class TestCdStep:
@@ -212,6 +212,12 @@ class TestDrawValidRows:
         with pytest.raises(SamplerExhaustedError):
             draw_valid_rows(cs, ModelParams(np.zeros(1)), "nelson", 10, seed=0, t_tryout=5)
 
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_every_sampler_name(self, toy_cs, toy_uniform, kind):
+        rows = draw_valid_rows(toy_cs, toy_uniform, kind, 40, seed=3)
+        assert rows.shape == (40, 3)
+        assert satisfies_all(toy_cs, rows).all()
+
 
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
@@ -266,3 +272,5 @@ def test_config_validation():
         TrainConfig(eta=0.0)
     with pytest.raises(ValueError):
         TrainConfig(sampler_kind="annealed")
+    with pytest.raises(ValueError, match="moser_tardos"):
+        TrainConfig(sampler_kind="moser_tardos")  # the function's name, not a SAMPLERS key

@@ -9,44 +9,10 @@ from cmrf.metrics import (
     map_at_10,
     resample_stats,
     save_histogram_csv,
-    validity,
 )
 from cmrf.model import ModelParams
 from cmrf.oracle import exact_distribution, exact_grad_log_partition, expected_resamples
-from cmrf.samplers import AssignmentBatch, SamplerConfig, SamplerStats, nelson_sample
-
-import corpus
-
-
-def _batch(rows):
-    rows = np.asarray(rows, dtype=np.uint8)
-    return AssignmentBatch(rows=rows, valid_flags=np.ones(rows.shape[0], dtype=bool))
-
-
-class TestValidity:
-    def test_all_valid(self, toy_cs):
-        assert validity(_batch([[0, 1, 1], [1, 1, 1]]), toy_cs) == 1.0
-
-    def test_none_valid(self, toy_cs):
-        assert validity(_batch([[0, 0, 0], [1, 0, 0]]), toy_cs) == 0.0
-
-    def test_three_of_four(self, toy_cs):
-        batch = _batch([[0, 1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 0]])
-        assert validity(batch, toy_cs) == 0.75
-
-    def test_empty_batch_rejected(self, toy_cs):
-        with pytest.raises(ValueError, match="empty"):
-            validity(_batch(np.zeros((0, 3))), toy_cs)
-
-    def test_accepted_nelson_rows_always_valid(self):
-        for name, cs in corpus.extremal_corpus()[:6]:
-            m = corpus.uniform_params(cs)
-            batch, _ = nelson_sample(cs, m, SamplerConfig(batch_size=3000, seed=2))
-            accepted = AssignmentBatch(
-                rows=batch.rows[batch.valid_flags],
-                valid_flags=batch.valid_flags[batch.valid_flags],
-            )
-            assert validity(accepted, cs) == 1.0, name
+from cmrf.samplers import SamplerConfig, SamplerStats, nelson_sample
 
 
 def _assignments(n, codes):

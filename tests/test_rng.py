@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cmrf import rng
-from cmrf.rng import _threshold, _to_unit, bernoulli_cells, bernoulli_field, uniform_field
+from cmrf.rng import (
+    _to_unit,
+    bernoulli_cells,
+    bernoulli_field,
+    bernoulli_threshold,
+    uniform_field,
+)
 
 # p values where floor(p * 2**53) or the float compare could go wrong: the
 # ends, the subnormal minimum, one ulp below 0.5 and 1, and 2**-53 / 2**-54,
@@ -34,20 +40,20 @@ def _test_ps() -> list[float]:
 def test_threshold_matches_float_compare_at_the_boundaries():
     for p in _test_ps():
         h = _boundary_hashes(p)
-        assert np.array_equal(h > _threshold(p), _to_unit(h) > p), p
+        assert np.array_equal(h > bernoulli_threshold(p), _to_unit(h) > p), p
 
 
 @pytest.mark.parametrize("round_index", [0, 7])
 def test_bernoulli_field_equals_uniform_compare(round_index):
     p = np.array(_test_ps())
     rows = np.arange(3, 203)
-    bits = bernoulli_field(11, rows, round_index, p)
+    bits = bernoulli_field(11, rows, round_index, bernoulli_threshold(p))
     assert bits.shape == (rows.size, p.size)
     assert np.array_equal(bits, uniform_field(11, rows, round_index, p.size) > p)
 
 
 def test_bernoulli_field_ends():
-    bits = bernoulli_field(5, np.arange(1000), 2, np.array([0.0, 1.0]))
+    bits = bernoulli_field(5, np.arange(1000), 2, bernoulli_threshold([0.0, 1.0]))
     assert bits[:, 0].all() and not bits[:, 1].any()
 
 
@@ -63,7 +69,7 @@ BLOCK_ROWS = rng._BLOCK_CELLS // WIDTH  # rows per block at WIDTH
 def test_bernoulli_field_at_block_edges(rows, width):
     p = np.random.default_rng(rows).random(width)
     ids = np.arange(7, 7 + rows)
-    bits = bernoulli_field(3, ids, 4, p)
+    bits = bernoulli_field(3, ids, 4, bernoulli_threshold(p))
     assert bits.shape == (rows, width)
     assert np.array_equal(bits, uniform_field(3, ids, 4, width) > p)
 
@@ -81,8 +87,9 @@ def test_bernoulli_cells_equal_the_field_at_the_cells(seed, round_index, mask, p
     p = np.random.default_rng(p_seed).random(width)
     p[::3] = np.array([0.0, 1.0, 0.5])[np.arange(len(p[::3])) % 3]
     ids = np.arange(100, 100 + 2 * rows, 2)
-    cells = bernoulli_cells(seed, ids, round_index, p, np.flatnonzero(mask))
-    assert np.array_equal(cells, bernoulli_field(seed, ids, round_index, p)[mask])
+    threshold = bernoulli_threshold(p)
+    cells = bernoulli_cells(seed, ids, round_index, threshold, np.flatnonzero(mask))
+    assert np.array_equal(cells, bernoulli_field(seed, ids, round_index, threshold)[mask])
 
 
 def test_bernoulli_cells_across_blocks():
@@ -91,5 +98,6 @@ def test_bernoulli_cells_across_blocks():
     p = np.random.default_rng(1).random(width)
     ids = np.arange(rows)
     cells = np.random.default_rng(2).permutation(rows * width)[: rng._BLOCK_CELLS * 2 + 7]
-    bits = bernoulli_cells(9, ids, 5, p, cells)
-    assert np.array_equal(bits, bernoulli_field(9, ids, 5, p).ravel()[cells])
+    threshold = bernoulli_threshold(p)
+    bits = bernoulli_cells(9, ids, 5, threshold, cells)
+    assert np.array_equal(bits, bernoulli_field(9, ids, 5, threshold).ravel()[cells])

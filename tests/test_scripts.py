@@ -49,6 +49,15 @@ def test_train_sinkfree(tmp_path):
     assert {"model.json", "trace.csv", "train.txt"} <= {p.name for p in out.iterdir()}
 
 
+def test_train_sinkfree_with_moser(tmp_path):
+    out = tmp_path / "run"
+    proc = _run_script(tmp_path, "train_sinkfree.py", "--vertices", "8", "--iters", "3",
+                       "--train-size", "50", "--m", "50", "--sampler", "moser",
+                       "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len((out / "trace.csv").read_text().splitlines()) == 4
+
+
 def test_train_sinkfree_without_orientation_exits_1(tmp_path):
     # Seed 0 draws a 5-vertex tree, which has no sink-free orientation.
     proc = _run_script(tmp_path, "train_sinkfree.py", "--vertices", "5",
@@ -60,12 +69,12 @@ def test_train_sinkfree_without_orientation_exits_1(tmp_path):
 
 def test_bench_sample(tmp_path):
     out = tmp_path / "bench.json"
-    for sampler in ("nelson", "moser"):
+    for sampler in ("nelson", "moser", "gibbs"):
         proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
                            "--sampler", sampler, "--sizes", "40", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     runs = json.loads(out.read_text())["results"]["t"]["runs"]
-    assert [run["sampler"] for run in runs] == ["nelson", "moser"]
+    assert [run["sampler"] for run in runs] == ["nelson", "moser", "gibbs"]
     for run in runs:
         assert run["exit_code"] == 0 and run["n"] == 40 and run["instance"] == "routes:3"
         assert run["valid_share"] == (40 - run["exhausted"]) / 40
