@@ -51,6 +51,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value. The streams read a seed mod 2**64, so a seed outside
+    [0, 2**64) would repeat the output of another while the manifest
+    recorded a different one."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 @dataclass
 class RunPlan:
     command: str
@@ -68,7 +78,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--k", type=int, default=None, help="clause width for ksat (default: 5)")
     gen.add_argument("--edge-prob", type=float, default=None,
                      help="edge probability for sinkfree (default: 0.55)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", default=".", help="output directory (default: current)")
 
     sample = sub.add_parser("sample", help="draw assignments from a model")
@@ -82,7 +92,7 @@ def _build_parser() -> _Parser:
                         help=f"gibbs only (default: {SamplerConfig.gibbs_burn_in})")
     sample.add_argument("--thin", type=int, default=None,
                         help=f"gibbs only (default: {SamplerConfig.gibbs_thinning})")
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=_seed, default=0)
     sample.add_argument("--out", default=".", help="output directory (default: current)")
 
     tr = sub.add_parser("train", help="contrastive-divergence training")
@@ -95,7 +105,7 @@ def _build_parser() -> _Parser:
     tr.add_argument("--sampler", default=TrainConfig.sampler_kind, choices=sorted(SAMPLERS))
     tr.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
     tr.add_argument("--nll-every", type=int, default=TrainConfig.nll_every)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_seed, default=0)
     tr.add_argument("--out", default=".", help="output directory (default: current)")
 
     ev = sub.add_parser("eval", help="evaluate a model against assignment sets")
@@ -106,7 +116,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--unseen", required=True)
     ev.add_argument("--grad-m", type=int, default=None,
                     help="also estimate gradient error with this many samples")
-    ev.add_argument("--seed", type=int, default=None,
+    ev.add_argument("--seed", type=_seed, default=None,
                     help="seed of the --grad-m draws (default: 0)")
     ev.add_argument("--out", default=".", help="output directory (default: current)")
 

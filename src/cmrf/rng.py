@@ -28,14 +28,16 @@ def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
     """splitmix64 finalizer; full avalanche on uint64, wraps mod 2**64.
 
     The first add makes the result; on arrays every later step works in
-    place on it, so only the shifts allocate."""
+    place on it and on one buffer for the shifts, so a call allocates two
+    arrays (more temporaries made large fields hash three times slower)."""
     with np.errstate(over="ignore"):
         x = x + _GOLDEN
-        x ^= x >> np.uint64(30)
+        shifted = np.empty_like(x) if isinstance(x, np.ndarray) else None
+        x ^= np.right_shift(x, np.uint64(30), out=shifted)
         x *= _MIX_1
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=shifted)
         x *= _MIX_2
-        x ^= x >> np.uint64(31)
+        x ^= np.right_shift(x, np.uint64(31), out=shifted)
         return x
 
 
@@ -109,38 +111,58 @@ def bernoulli_threshold(p) -> np.ndarray:
 # 4096 x 299 field slower (BENCH_masked_draws.json).
 _BLOCK_CELLS = 65_536
 
-
-def _row_prefix(seed: int, rows, round_index: int) -> np.ndarray:
-    """The hash of (seed, row, round) per row. The hash of (seed, row, round,
-    slot) is hash_u64(prefix ^ slot), one finalizer pass per cell."""
-    return hash_u64(seed, np.asarray(rows, dtype=np.uint64).reshape(-1), round_index)
+# The word layout of bernoulli_field: bit j of word w of a variable is the
+# draw of row 64w + j, so a word holds 64 rows of one variable.
+WORD = np.dtype("<u8")
 
 
-def bernoulli_field(seed: int, rows: np.ndarray, round_index: int,
-                    threshold: np.ndarray) -> np.ndarray:
-    """Bits keyed like uniform_field, (len(rows), len(threshold)) bool. For
-    threshold = bernoulli_threshold(p_zero), p_zero in [0, 1], they equal
+def row_keys(seed: int, rows) -> np.ndarray:
+    """The key of each row: the hash of (seed, row). bernoulli_field and
+    bernoulli_cells take keys, so a caller that draws many rounds for the
+    same rows hashes them once."""
+    return hash_u64(seed, np.asarray(rows, dtype=np.uint64).reshape(-1))
+
+
+def _round_prefix(keys: np.ndarray, round_index: int) -> np.ndarray:
+    """The hash of (seed, row, round) per row key. The hash of (seed, row,
+    round, slot) is hash_u64(prefix ^ slot), one finalizer pass per cell."""
+    return hash_u64(keys ^ _as_u64(round_index))
+
+
+def bernoulli_field(keys: np.ndarray, round_index: int, threshold: np.ndarray) -> np.ndarray:
+    """Bits keyed like uniform_field, for the rows of keys = row_keys(seed,
+    rows), packed variable-major: a (len(threshold), ceil(len(rows) / 64))
+    array of WORD words in which bit j of word w of variable v is the draw of
+    (rows[64w + j], v), and bits past len(rows) are 0. For threshold =
+    bernoulli_threshold(p_zero), p_zero in [0, 1], the draws equal
     uniform_field(seed, rows, round_index, len(p_zero)) > p_zero, but are
     compared as integers without the float conversion. The field is hashed in
-    row blocks of about _BLOCK_CELLS cells."""
-    prefix = _row_prefix(seed, rows, round_index)
-    slots = np.arange(threshold.size, dtype=np.uint64)
-    bits = np.empty((prefix.size, threshold.size), dtype=bool)
-    step = max(1, _BLOCK_CELLS // max(1, threshold.size))
-    for start in range(0, prefix.size, step):
-        block = prefix[start:start + step, None] ^ slots
-        np.greater(hash_u64(block), threshold, out=bits[start:start + step])
-    return bits
+    blocks of at most _BLOCK_CELLS cells (at least 64 rows of one variable)."""
+    prefix = _round_prefix(keys, round_index)
+    n = threshold.size
+    words = np.zeros((n, -(-prefix.size // 64)), dtype=WORD)
+    packed = words.view(np.uint8)
+    row_step = 64 * max(1, _BLOCK_CELLS // (64 * max(1, n)))
+    var_step = max(1, _BLOCK_CELLS // row_step)
+    slots = np.arange(n, dtype=np.uint64)[:, None]
+    for v in range(0, n, var_step):
+        for start in range(0, prefix.size, row_step):
+            block = prefix[start:start + row_step] ^ slots[v:v + var_step]
+            bits = hash_u64(block) > threshold[v:v + var_step, None]
+            packed[v:v + var_step, start // 8:][:, : -(-bits.shape[1] // 8)] = (
+                np.packbits(bits, axis=1, bitorder="little"))
+    return words
 
 
-def bernoulli_cells(seed: int, rows: np.ndarray, round_index: int,
-                    threshold: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """bernoulli_field(seed, rows, round_index, threshold).ravel()[cells],
-    hashing only those cells, _BLOCK_CELLS of them at a time."""
-    prefix = _row_prefix(seed, rows, round_index)
-    bits = np.empty(cells.size, dtype=bool)
-    for start in range(0, cells.size, _BLOCK_CELLS):
-        r, c = np.divmod(cells[start:start + _BLOCK_CELLS], threshold.size)
-        block = prefix[r] ^ c.astype(np.uint64)
-        np.greater(hash_u64(block), threshold[c], out=bits[start:start + _BLOCK_CELLS])
+def bernoulli_cells(keys: np.ndarray, round_index: int, threshold: np.ndarray,
+                    rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The draws of bernoulli_field(keys, round_index, threshold) at the
+    cells (keys[rows[i]], slots[i]), as bool, hashing only those cells,
+    _BLOCK_CELLS of them at a time."""
+    prefix = _round_prefix(keys, round_index)
+    bits = np.empty(rows.size, dtype=bool)
+    for start in range(0, rows.size, _BLOCK_CELLS):
+        r, v = rows[start:start + _BLOCK_CELLS], slots[start:start + _BLOCK_CELLS]
+        block = prefix[r] ^ v.astype(np.uint64)
+        np.greater(hash_u64(block), threshold[v], out=bits[start:start + _BLOCK_CELLS])
     return bits

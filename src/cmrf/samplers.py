@@ -31,7 +31,15 @@ import numpy as np
 
 from .cnf import ConstraintSet, Literal
 from .model import ModelParams, marginals
-from .rng import bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed, uniform_field
+from .rng import (
+    WORD,
+    bernoulli_cells,
+    bernoulli_field,
+    bernoulli_threshold,
+    fold_seed,
+    row_keys,
+    uniform_field,
+)
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -86,22 +94,46 @@ def _pack(lists) -> tuple[np.ndarray, np.ndarray]:
     return values, live
 
 
+class _Slots:
+    """Ragged integer lists, each nonempty, as slots widest list first:
+    slots[k] holds the k-th entry of every list that has one, so those lists
+    are a prefix of `order`, and unsort[i] is the place of list i in it.
+    A slot costs one row gather and one OR whatever the lists' widths."""
+
+    def __init__(self, lists):
+        width = np.array([len(row) for row in lists], dtype=np.intp)
+        order = np.argsort(-width, kind="stable")
+        self.slots = [np.array([lists[j][k] for j in order[:m]], dtype=np.intp)
+                      for k, m in enumerate((width[:, None] > np.arange(width.max(initial=0)))
+                                            .sum(axis=0).tolist())]
+        self.order = order
+        self.unsort = np.argsort(order)
+
+    def or_rows(self, table: np.ndarray) -> np.ndarray:
+        """Row i: the OR of the table rows in list i."""
+        out = table[self.slots[0]]
+        for slot in self.slots[1:]:
+            out[: slot.size] |= table[slot]
+        return out[self.unsort]
+
+
 class _ConstraintKernel:
     """Every constraint, clause or exactly-one group, as one row of slots.
 
     idx[j] holds the variables of constraint j, neg[j] the negation of each
-    literal (never set for groups) and live[j] which slots are real. A
-    constraint is violated when the count of its true literals is 0 (clause)
-    or differs from 1 (group). var_c[i] and var_live[i] are the transposed
-    lists: the constraints that contain variable i.
+    literal (never set for groups) and live[j] which slots are real. var_c[i]
+    and var_live[i] are the transposed lists: the constraints that contain
+    variable i. gibbs_levels plans from these.
 
-    The counts run over the batch transposed, one contiguous row per
-    variable: row v of a (2n, rows) table is x_v and row n + v its negation.
-    Constraints are sorted widest first, so those with a k-th literal are a
-    prefix, and slots[k] names the table row of each one's k-th literal;
-    adding those rows slot by slot costs one row copy and add per literal,
-    and the table holds 2n bytes per row. The count dtype holds the widest
-    constraint, so counts are exact at any width.
+    The resamplers check a batch packed 64 rows to a word (rng.WORD) in a
+    (2n, words) table: row v holds x_v and row n + v its negation. Over the
+    literal words w of a constraint, `two |= one & w; one |= w` marks the
+    rows where some literal holds and where two do; a constraint is violated
+    where `~one | (two & is_group)`, so clauses and groups share one pass and
+    need no counts. union_mask ORs the violation words over the constraints
+    of each variable. Both walk _Slots, whose gathers cost the same at any
+    width; np.bitwise_or.reduceat over the same lists was 2-5x slower from
+    16 words on.
     """
 
     def __init__(self, cs: ConstraintSet):
@@ -109,38 +141,54 @@ class _ConstraintKernel:
         literals += [[Literal(v) for v in sorted(g)] for g in cs.exactly_one_groups]
         self.n = cs.n_vars
         self.is_group = np.arange(len(literals)) >= cs.n_clauses
+        self.has_groups = bool(cs.exactly_one_groups)
         self.idx, self.live = _pack([[lit.variable_index for lit in row] for row in literals])
         neg, _ = _pack([[lit.negated for lit in row] for row in literals])
         self.neg = neg.astype(bool)
-        width = self.live.sum(axis=1)
-        order = np.argsort(-width, kind="stable")
-        literal = np.ascontiguousarray((self.idx + self.n * self.neg)[order].T)
-        having = (width[:, None] > np.arange(literal.shape[0])).sum(axis=0)
-        self.slots = [literal[k, :m] for k, m in enumerate(having.tolist())]
-        self.unsort = np.argsort(order)
-        self.group_sorted = self.is_group[order, None]
-        self.count_dtype = np.min_scalar_type(self.idx.shape[1])
         containing = [[] for _ in range(self.n)]
         for j, row in enumerate(literals):
             for lit in row:
                 containing[lit.variable_index].append(j)
         self.var_c, self.var_live = _pack(containing)
+        self.literal_slots = _Slots(
+            [[lit.variable_index + self.n * lit.negated for lit in row] for row in literals])
+        self.group_words = np.where(self.is_group[self.literal_slots.order, None],
+                                    ~np.uint64(0), np.uint64(0)).astype(WORD)
+        # A variable in no constraint reads row n_constraints of V, which is 0.
+        self.var_slots = _Slots([row or [len(literals)] for row in containing])
 
-    def violations(self, X: np.ndarray) -> np.ndarray:
-        """(rows, n_constraints) bool: row r violates constraint j."""
-        rows = X.shape[0]
-        value = np.empty((2 * self.n, rows), dtype=np.uint8)
-        value[: self.n] = X.T
-        np.bitwise_xor(value[: self.n], 1, out=value[self.n :])
-        count = np.zeros((self.is_group.size, rows), dtype=self.count_dtype)
-        for slot in self.slots:
-            count[: slot.size] += value[slot]
-        violated = np.where(self.group_sorted, count != 1, count == 0)
-        return np.ascontiguousarray(violated[self.unsort].T)
+    def table(self, values: np.ndarray) -> np.ndarray:
+        """The (2n, words) table of (n, words) packed values."""
+        out = np.empty((2 * self.n, values.shape[1]), dtype=WORD)
+        out[: self.n] = values
+        np.invert(values, out=out[self.n :])
+        return out
 
-    def union_mask(self, S: np.ndarray) -> np.ndarray:
-        """(rows, n) bool: variable i lies in a constraint that row r violates."""
-        return (S[:, self.var_c] & self.var_live).any(axis=-1)
+    def violations(self, table: np.ndarray) -> np.ndarray:
+        """(n_constraints + 1, words): bit j of word w of row c is set where
+        row 64w + j of the table violates constraint c. The last row is 0, for
+        union_mask to read where a variable is in no constraint."""
+        V = np.zeros((self.is_group.size + 1, table.shape[1]), dtype=WORD)
+        if not self.is_group.size:
+            return V
+        slots = self.literal_slots.slots
+        one = table[slots[0]]
+        two = np.zeros_like(one) if self.has_groups else None
+        for slot in slots[1:]:
+            w = table[slot]
+            if two is not None:
+                two[: slot.size] |= one[: slot.size] & w
+            one[: slot.size] |= w
+        np.invert(one, out=one)
+        if two is not None:
+            one |= two & self.group_words
+        np.take(one, self.literal_slots.unsort, axis=0, out=V[:-1])
+        return V
+
+    def union_mask(self, V: np.ndarray) -> np.ndarray:
+        """(n, words): the rows for which variable i lies in a constraint that
+        V marks violated."""
+        return self.var_slots.or_rows(V)
 
     def gibbs_levels(self) -> list[tuple[np.ndarray, ...]]:
         """Plan of an index-order Gibbs sweep that updates a level at a time.
@@ -182,67 +230,119 @@ def _kernel(cs: ConstraintSet) -> _ConstraintKernel:
     return _ConstraintKernel(cs)
 
 
-def _append_records(records, active, S):
-    for local in np.nonzero(S.any(axis=1))[0]:
-        records[active[local]].append(frozenset(np.nonzero(S[local])[0].tolist()))
-
-
 # Share of the (active rows x n) cells a round redraws above which it hashes
 # the whole field; below it, only the masked cells (BENCH_masked_draws.json).
 _DENSE_SHARE = 0.25
 
 
-def _resample_rounds(cs, m, cfg, resample_all: bool):
-    kernel = _kernel(cs)
-    b = cfg.batch_size
-    threshold = bernoulli_threshold(marginals(m))
-    row_ids = cfg.row_offset + np.arange(b, dtype=np.int64)
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The set bits of a uint64 array, unpacking only its nonzero words: the
+    flat indices of those words, their bits (uint8, 64 per word) and the
+    positions of the set ones among those bits."""
+    flat = words.reshape(-1)
+    nonzero = flat.nonzero()[0]
+    bits = np.unpackbits(flat[nonzero].view(np.uint8), bitorder="little")
+    return nonzero, bits, bits.view(bool).nonzero()[0]
 
-    X = bernoulli_field(cfg.seed, row_ids, 0, threshold).view(np.uint8)
-    rounds = np.zeros(b, dtype=np.int64)
-    valid = np.zeros(b, dtype=bool)
+
+def _columns(words: np.ndarray) -> np.ndarray:
+    """Bit positions 64 * word + bit of the set bits of a 1-d uint64 array."""
+    nonzero, _, at = _set_bits(words)
+    return (nonzero[at >> 6] << 6) | (at & 63)
+
+
+def _resample_rounds(cs, m, cfg, resample_all: bool):
+    """The round loop on packed words (see _ConstraintKernel).
+
+    `active` marks the rows still resampling, one bit per row. A word leaves
+    the table once none of its 64 rows is active; word_id holds the batch
+    word of each table column and keys the row keys of its 64 rows."""
+    kernel = _kernel(cs)
+    n, b = cs.n_vars, cfg.batch_size
+    threshold = bernoulli_threshold(marginals(m))
+    word_id = np.arange(-(-b // 64))
+    keys = row_keys(cfg.seed, cfg.row_offset + np.arange(64 * word_id.size, dtype=np.int64))
+    values = bernoulli_field(keys[:b], 0, threshold)
+    table = kernel.table(values)
+    X = table[:n]
+    active = np.full(word_id.size, ~np.uint64(0), dtype=WORD)
+    if b % 64:
+        active[-1] = (1 << (b % 64)) - 1
+    finished = []  # (round, words, word_id): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
     records = [[] for _ in range(b)] if cfg.record else None
-    active = np.arange(b)
 
     for t in range(1, cfg.t_tryout + 1):
-        S = kernel.violations(X[active])
-        viol_any = S.any(axis=1)
-        finished = active[~viol_any]
-        rounds[finished] = t
-        valid[finished] = True
+        V = kernel.violations(table)
+        V &= active
+        still = np.bitwise_or.reduce(V, axis=0)
         if records is not None:
-            _append_records(records, active, S)
-        active = active[viol_any]
-        if active.size == 0:
-            break
+            bits = np.unpackbits(V[:-1].view(np.uint8), axis=1, bitorder="little")
+            for at in bits.any(axis=0).nonzero()[0]:
+                row = (word_id[at >> 6] << 6) | (at & 63)
+                records[row].append(frozenset(bits[:, at].nonzero()[0].tolist()))
+        done = active ^ still
+        if done.any():
+            finished.append((t, done, word_id))
+            active = still
+            kept = np.count_nonzero(active)
+            if not kept:
+                break
+            if kept < active.size:  # drop the words whose rows are all done
+                keep = active != 0
+                values[:, word_id[~keep]] = X[:, ~keep]
+                table, V = table.compress(keep, axis=1), V.compress(keep, axis=1)
+                active, word_id = active[keep], word_id[keep]
+                keys = keys.reshape(-1, 64)[keep].reshape(-1)
+                X = table[:n]
         if t == cfg.t_tryout:
-            rounds[active] = cfg.t_tryout
             break
-        S = S[viol_any]
         if not resample_all:  # keep only each row's lowest-indexed violation
-            first = S.argmax(axis=1)
-            S = np.zeros_like(S)
-            S[np.arange(first.size), first] = True
-        tally += S.sum(axis=0)
-        mask = kernel.union_mask(S)
-        ids = row_ids[active]
-        if np.count_nonzero(mask) > _DENSE_SHARE * mask.size:
-            X[active] = np.where(mask, bernoulli_field(cfg.seed, ids, t, threshold), X[active])
+            V[1:] &= ~np.bitwise_or.accumulate(V[:-1], axis=0)
+        tally += np.bitwise_count(V[:-1]).sum(axis=1, dtype=np.int64)
+        mask = kernel.union_mask(V)
+        if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * np.bitwise_count(active).sum():
+            live = _columns(active)
+            field = bernoulli_field(keys[live], t, threshold).view(np.uint8)
+            drawn = np.zeros((n, 64 * X.shape[1]), dtype=np.uint8)
+            drawn[:, live] = np.unpackbits(field, axis=1, count=live.size, bitorder="little")
+            X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
+            np.invert(X, out=table[n:])
         else:  # the same bits, hashed only at the masked cells
-            cells = np.flatnonzero(mask)
-            redrawn = X[active]
-            redrawn.reshape(-1)[cells] = bernoulli_cells(cfg.seed, ids, t, threshold, cells)
-            X[active] = redrawn
+            masked, bits, at = _set_bits(mask)
+            slot, column = np.divmod(masked, mask.shape[1])
+            word = at >> 6
+            rows = (column[word] << 6) | (at & 63)
+            bits[at] = bernoulli_cells(keys, t, threshold, rows, slot[word])
+            flat = X.reshape(-1)
+            flat[masked] = flat[masked] & ~mask.reshape(-1)[masked] | np.packbits(
+                bits, bitorder="little").view(WORD)
+            table[n:].reshape(-1)[masked] = ~flat[masked]
 
-    batch = AssignmentBatch(rows=X, valid_flags=valid)
+    values[:, word_id] = X
+    rounds = np.full(b, cfg.t_tryout, dtype=np.int64)  # rows that never passed
+    valid = np.zeros(b, dtype=bool)
+    if finished:
+        check, words, ids = zip(*finished)
+        at = _columns(np.concatenate(words))
+        rows = (np.concatenate(ids)[at >> 6] << 6) | (at & 63)
+        rounds[rows] = np.repeat(check, [w.size for w in words])[at >> 6]
+        valid[rows] = True
+    batch = AssignmentBatch(rows=_unpack_rows(values, b), valid_flags=valid)
     stats = SamplerStats(
         rounds_per_row=rounds,
         per_constraint_resamples=tally,
         records=records,
-        exhausted=int((~valid).sum()),
+        exhausted=int(b - valid.sum()),
     )
     return batch, stats
+
+
+def _unpack_rows(words: np.ndarray, b: int) -> np.ndarray:
+    """(b, n) uint8 rows of (n, words) packed values. The transpose is done on
+    bytes, an eighth of the bits."""
+    rows = np.ascontiguousarray(words.view(np.uint8).T)
+    return np.unpackbits(rows, axis=0, count=b, bitorder="little")
 
 
 def nelson_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig):
@@ -295,7 +395,7 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
         x = np.asarray(init, dtype=np.uint8).reshape(-1).astype(bool)
         if x.shape[0] != n:
             raise ValueError("init length mismatch")
-        if kernel.violations(x[None]).any():
+        if (kernel.violations(kernel.table(x.astype(WORD)[:, None])) & 1).any():
             raise ValueError("init must satisfy all constraints")
 
     p_one = 1.0 - marginals(m)

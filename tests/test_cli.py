@@ -459,6 +459,30 @@ class TestErrorPaths:
         assert "--seed" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [str(2**64), str(-(2**64)), "-1"])
+    @pytest.mark.parametrize("command", ["gen", "sample", "train", "eval"])
+    def test_seed_outside_u64_exits_1(self, tmp_path, capsys, command, seed):
+        argv = {
+            "gen": ["gen", "--family", "routes", "--size", "3"],
+            "sample": ["sample", "--cnf", "c", "--theta", "t", "--sampler", "nelson", "--n", "5"],
+            "train": ["train", "--cnf", "c", "--data", "d"],
+            "eval": ["eval", "--cnf", "c", "--theta", "t", "--preferred", "p", "--unseen", "u",
+                     "--grad-m", "5"],
+        }[command]
+        out = tmp_path / "o"
+        assert run([*argv, f"--seed={seed}", "--out", str(out)]) == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "UsageError" and "2**64" in error["message"]
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        cnf, theta = _write_toy(tmp_path)
+        out = tmp_path / "o"
+        code = run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "nelson",
+                    "--n", "5", "--seed", str(2**64 - 1), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["options"]["seed"] == 2**64 - 1
+
     def test_conditional_options_resolve_only_where_read(self):
         def options(*argv):
             return build_plan([*argv, "--out", "o"]).options

@@ -12,6 +12,7 @@ from cmrf.rng import (
     bernoulli_cells,
     bernoulli_field,
     bernoulli_threshold,
+    row_keys,
     uniform_field,
 )
 
@@ -43,34 +44,47 @@ def test_threshold_matches_float_compare_at_the_boundaries():
         assert np.array_equal(h > bernoulli_threshold(p), _to_unit(h) > p), p
 
 
+def _field(seed, rows, round_index, threshold):
+    """bernoulli_field unpacked to (len(rows), len(threshold)) bool."""
+    words = bernoulli_field(row_keys(seed, rows), round_index, threshold)
+    assert words.dtype == rng.WORD
+    assert words.shape == (threshold.size, -(-len(rows) // 64))
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, len(rows):].any()  # bits past the last row are 0
+    return bits[:, : len(rows)].T.astype(bool)
+
+
 @pytest.mark.parametrize("round_index", [0, 7])
 def test_bernoulli_field_equals_uniform_compare(round_index):
     p = np.array(_test_ps())
     rows = np.arange(3, 203)
-    bits = bernoulli_field(11, rows, round_index, bernoulli_threshold(p))
-    assert bits.shape == (rows.size, p.size)
+    bits = _field(11, rows, round_index, bernoulli_threshold(p))
     assert np.array_equal(bits, uniform_field(11, rows, round_index, p.size) > p)
 
 
 def test_bernoulli_field_ends():
-    bits = bernoulli_field(5, np.arange(1000), 2, bernoulli_threshold([0.0, 1.0]))
+    bits = _field(5, np.arange(1000), 2, bernoulli_threshold([0.0, 1.0]))
     assert bits[:, 0].all() and not bits[:, 1].any()
 
 
 WIDTH = 300
-BLOCK_ROWS = rng._BLOCK_CELLS // WIDTH  # rows per block at WIDTH
+BLOCK_ROWS = rng._BLOCK_CELLS // WIDTH  # rows per block of a row-major field at WIDTH
+ROW_STEP = 64 * (rng._BLOCK_CELLS // (64 * WIDTH))  # rows per block at WIDTH
+WIDE = rng._BLOCK_CELLS // 64 + 1  # 64 rows of this many variables overflow a block
 
 
 @pytest.mark.parametrize("rows, width", [
     (0, WIDTH), (1, WIDTH), (BLOCK_ROWS - 1, WIDTH), (BLOCK_ROWS, WIDTH),
     (BLOCK_ROWS + 1, WIDTH), (3, rng._BLOCK_CELLS + 5),  # one row is wider than a block
     (5, 0),
+    (63, WIDTH), (64, WIDTH), (65, WIDTH),  # word edges
+    (ROW_STEP - 1, WIDTH), (ROW_STEP, WIDTH), (ROW_STEP + 1, WIDTH),
+    (65, WIDE), (129, WIDE - 2),  # blocks split the variables
 ])
 def test_bernoulli_field_at_block_edges(rows, width):
     p = np.random.default_rng(rows).random(width)
     ids = np.arange(7, 7 + rows)
-    bits = bernoulli_field(3, ids, 4, bernoulli_threshold(p))
-    assert bits.shape == (rows, width)
+    bits = _field(3, ids, 4, bernoulli_threshold(p))
     assert np.array_equal(bits, uniform_field(3, ids, 4, width) > p)
 
 
@@ -88,8 +102,9 @@ def test_bernoulli_cells_equal_the_field_at_the_cells(seed, round_index, mask, p
     p[::3] = np.array([0.0, 1.0, 0.5])[np.arange(len(p[::3])) % 3]
     ids = np.arange(100, 100 + 2 * rows, 2)
     threshold = bernoulli_threshold(p)
-    cells = bernoulli_cells(seed, ids, round_index, threshold, np.flatnonzero(mask))
-    assert np.array_equal(cells, bernoulli_field(seed, ids, round_index, threshold)[mask])
+    r, v = np.nonzero(mask)
+    cells = bernoulli_cells(row_keys(seed, ids), round_index, threshold, r, v)
+    assert np.array_equal(cells, _field(seed, ids, round_index, threshold)[mask])
 
 
 def test_bernoulli_cells_across_blocks():
@@ -98,6 +113,7 @@ def test_bernoulli_cells_across_blocks():
     p = np.random.default_rng(1).random(width)
     ids = np.arange(rows)
     cells = np.random.default_rng(2).permutation(rows * width)[: rng._BLOCK_CELLS * 2 + 7]
+    r, v = np.divmod(cells, width)
     threshold = bernoulli_threshold(p)
-    bits = bernoulli_cells(9, ids, 5, threshold, cells)
-    assert np.array_equal(bits, bernoulli_field(9, ids, 5, threshold).ravel()[cells])
+    bits = bernoulli_cells(row_keys(9, ids), 5, threshold, r, v)
+    assert np.array_equal(bits, _field(9, ids, 5, threshold)[r, v])

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmrf import samplers
 from cmrf.cnf import (
@@ -17,11 +20,12 @@ from cmrf.cnf import (
 )
 from cmrf.model import ModelParams, marginals
 from cmrf.oracle import empirical_table, exact_distribution, tv_distance
-from cmrf.rng import fold_seed, uniform_field
+from cmrf.rng import WORD, fold_seed, uniform_field
 from cmrf.samplers import (
     SamplerConfig,
     SamplerExhaustedError,
     _ConstraintKernel,
+    _unpack_rows,
     gibbs_sample,
     moser_tardos_sample,
     nelson_sample,
@@ -83,7 +87,8 @@ class TestNelson:
 @st.composite
 def mixed_sets_and_rows(draw):
     """Clauses of unequal width mixed with exactly-one groups (size 1
-    included), often leaving variables in no constraint, plus a 0/1 batch."""
+    included), often leaving variables in no constraint, plus a 0/1 batch of
+    up to three words of rows."""
     n = draw(st.integers(1, 7))
     clauses = []
     for _ in range(draw(st.integers(0, 4))):
@@ -91,9 +96,16 @@ def mixed_sets_and_rows(draw):
         clauses.append(Clause(tuple(Literal(v, draw(st.booleans())) for v in variables)))
     groups = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=3))
     cs = ConstraintSet(n_vars=n, clauses=tuple(clauses), exactly_one_groups=tuple(groups))
-    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    X = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=np.uint8)
+    X = draw(arrays(np.uint8, st.tuples(st.integers(0, 130), st.just(n)), elements=st.integers(0, 1)))
     return cs, X
+
+
+def _words(X: np.ndarray) -> np.ndarray:
+    """(b, k) 0/1 rows as (k, ceil(b / 64)) words, 64 rows to a word."""
+    words = np.zeros((X.shape[1], -(-X.shape[0] // 64)), dtype=WORD)
+    packed = np.packbits(X.T.astype(bool), axis=1, bitorder="little")
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    return words
 
 
 def _support_rows(cs, constraints):
@@ -117,6 +129,18 @@ def _wide_clauses():
     return ConstraintSet(n_vars=60, clauses=(mixed, negated)), X
 
 
+# A clause/group set for batches at word edges, and random rows for them.
+_EDGE_SET = ConstraintSet(
+    n_vars=5,
+    clauses=(clause(1, -2, 3), clause(-3, 4), clause(5)),
+    exactly_one_groups=(frozenset({0, 3}), frozenset({1, 2, 4})),
+)
+
+
+def _edge_rows(b):
+    return (np.random.default_rng(b).random((b, 5)) < 0.5).astype(np.uint8)
+
+
 @given(mixed_sets_and_rows())
 @settings(max_examples=200, deadline=None)
 @example((ConstraintSet(n_vars=3), np.array([[0, 1, 0], [1, 1, 1]], dtype=np.uint8)))
@@ -124,11 +148,15 @@ def _wide_clauses():
     ConstraintSet(n_vars=3, clauses=(clause(1, -2),), exactly_one_groups=(frozenset({2}),)),
     np.zeros((0, 3), dtype=np.uint8),
 ))
+@example((_EDGE_SET, _edge_rows(63)))
+@example((_EDGE_SET, _edge_rows(64)))
+@example((_EDGE_SET, _edge_rows(65)))
 @example(_wide_clauses())
-@example((  # counts of 256 and 257 would wrap to 0 and 1 in a uint8
+@example((  # a 257-wide group: true literal counts of 0, 1, 257 and 2
     ConstraintSet(n_vars=257, clauses=(clause(*range(1, 257)), clause(3)),
                   exactly_one_groups=(frozenset(range(257)),)),
-    np.array([np.ones(257), np.zeros(257), np.eye(257)[2]], dtype=np.uint8),
+    np.array([np.zeros(257), np.eye(257)[2], np.ones(257), np.eye(257)[0] + np.eye(257)[256]],
+             dtype=np.uint8),
 ))
 @example((
     ConstraintSet(n_vars=3, exactly_one_groups=(frozenset({0}), frozenset({1}), frozenset({2}))),
@@ -144,11 +172,20 @@ def _wide_clauses():
 ))
 def test_kernel_matches_reference(case):
     cs, X = case
+    b = len(X)
     kernel = _ConstraintKernel(cs)
+    words = _words(X)
+    assert np.array_equal(_unpack_rows(words, b), X)
+    table = kernel.table(words)
+    assert np.array_equal(table, np.vstack([words, ~words]))
+    V = kernel.violations(table)
+    assert V.shape == (cs.n_constraints + 1, words.shape[1]) and not V[-1].any()
     S = violation_matrix(cs, X)
-    assert np.array_equal(kernel.violations(X), S)
+    assert np.array_equal(_unpack_rows(V[:-1], b), S)
     union = np.array([_support_rows(cs, np.nonzero(s)[0]).any(axis=0) for s in S])
-    assert np.array_equal(kernel.union_mask(S), union.reshape(len(X), cs.n_vars))
+    marked = np.vstack([_words(S), np.zeros((1, words.shape[1]), dtype=WORD)])
+    mask = kernel.union_mask(marked)
+    assert np.array_equal(mask, _words(union.reshape(b, cs.n_vars)))
 
 
 def test_kernel_is_built_once_per_constraint_set(monkeypatch):
@@ -303,6 +340,34 @@ class TestDeterminism:
             )
             assert np.array_equal(single.rows[0], batch.rows[row_index])
             assert single_stats.rounds_per_row[0] == stats.rounds_per_row[row_index]
+
+    @pytest.mark.parametrize("sampler", [nelson_sample, moser_tardos_sample])
+    @pytest.mark.parametrize("instance", ["mixed", "routes3"])
+    def test_word_edge_batches_equal_single_rows(self, sampler, instance):
+        # Batches that end on, before and after a 64-row word edge, against
+        # the same rows drawn one at a time; t_tryout = 50 leaves INVALID rows
+        # on routes(3).
+        if instance == "mixed":
+            cs, m = _EDGE_SET, ModelParams([0.3, -0.5, 0.0, 1.0, -1.0])
+        else:
+            from cmrf.problems import gen_routes, instance_theta
+
+            inst = gen_routes(3, seed=0)
+            cs, m = inst.constraints, instance_theta(inst)
+        cfg = SamplerConfig(batch_size=1, seed=8, t_tryout=50)
+        singles = [sampler(cs, m, replace(cfg, row_offset=r)) for r in range(129)]
+        rows = np.vstack([batch.rows for batch, _ in singles])
+        valid = np.concatenate([batch.valid_flags for batch, _ in singles])
+        rounds = np.concatenate([stats.rounds_per_row for _, stats in singles])
+        tallies = np.array([stats.per_constraint_resamples for _, stats in singles])
+        assert instance == "mixed" or not valid.all()
+        for b in (1, 63, 64, 65, 127, 128, 129):
+            batch, stats = sampler(cs, m, replace(cfg, batch_size=b))
+            assert np.array_equal(batch.rows, rows[:b]), b
+            assert np.array_equal(batch.valid_flags, valid[:b]), b
+            assert np.array_equal(stats.rounds_per_row, rounds[:b]), b
+            assert np.array_equal(stats.per_constraint_resamples, tallies[:b].sum(axis=0)), b
+            assert stats.exhausted == b - valid[:b].sum()
 
     def test_seed_changes_output(self, toy_cs, toy_uniform):
         b1, _ = nelson_sample(toy_cs, toy_uniform, SamplerConfig(batch_size=200, seed=1))
