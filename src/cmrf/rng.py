@@ -28,16 +28,14 @@ def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
     """splitmix64 finalizer; full avalanche on uint64, wraps mod 2**64.
 
     The first add makes the result; on arrays every later step works in
-    place on it and on one buffer for the shifts, so a call allocates two
-    arrays (more temporaries made large fields hash three times slower)."""
+    place on it, so only the shifts allocate."""
     with np.errstate(over="ignore"):
         x = x + _GOLDEN
-        shifted = np.empty_like(x) if isinstance(x, np.ndarray) else None
-        x ^= np.right_shift(x, np.uint64(30), out=shifted)
+        x ^= x >> np.uint64(30)
         x *= _MIX_1
-        x ^= np.right_shift(x, np.uint64(27), out=shifted)
+        x ^= x >> np.uint64(27)
         x *= _MIX_2
-        x ^= np.right_shift(x, np.uint64(31), out=shifted)
+        x ^= x >> np.uint64(31)
         return x
 
 
@@ -116,29 +114,30 @@ _BLOCK_CELLS = 65_536
 WORD = np.dtype("<u8")
 
 
-def row_keys(seed: int, rows) -> np.ndarray:
-    """The key of each row: the hash of (seed, row). bernoulli_field and
-    bernoulli_cells take keys, so a caller that draws many rounds for the
-    same rows hashes them once."""
+def row_hashes(seed: int, rows) -> np.ndarray:
+    """The hash of (seed, row) per row. bernoulli_field and bernoulli_cells
+    take these, so a caller that draws many rounds for the same rows hashes
+    the rows once."""
     return hash_u64(seed, np.asarray(rows, dtype=np.uint64).reshape(-1))
 
 
-def _round_prefix(keys: np.ndarray, round_index: int) -> np.ndarray:
-    """The hash of (seed, row, round) per row key. The hash of (seed, row,
+def _round_prefix(rows: np.ndarray, round_index: int) -> np.ndarray:
+    """The hash of (seed, row, round) per row hash. The hash of (seed, row,
     round, slot) is hash_u64(prefix ^ slot), one finalizer pass per cell."""
-    return hash_u64(keys ^ _as_u64(round_index))
+    return hash_u64(rows ^ _as_u64(round_index))
 
 
-def bernoulli_field(keys: np.ndarray, round_index: int, threshold: np.ndarray) -> np.ndarray:
-    """Bits keyed like uniform_field, for the rows of keys = row_keys(seed,
-    rows), packed variable-major: a (len(threshold), ceil(len(rows) / 64))
+def bernoulli_field(row_hash: np.ndarray, round_index: int,
+                    threshold: np.ndarray) -> np.ndarray:
+    """Bits keyed like uniform_field, for row_hash = row_hashes(seed, rows),
+    packed variable-major: a (len(threshold), ceil(len(rows) / 64))
     array of WORD words in which bit j of word w of variable v is the draw of
     (rows[64w + j], v), and bits past len(rows) are 0. For threshold =
     bernoulli_threshold(p_zero), p_zero in [0, 1], the draws equal
     uniform_field(seed, rows, round_index, len(p_zero)) > p_zero, but are
     compared as integers without the float conversion. The field is hashed in
     blocks of at most _BLOCK_CELLS cells (at least 64 rows of one variable)."""
-    prefix = _round_prefix(keys, round_index)
+    prefix = _round_prefix(row_hash, round_index)
     n = threshold.size
     words = np.zeros((n, -(-prefix.size // 64)), dtype=WORD)
     packed = words.view(np.uint8)
@@ -154,12 +153,12 @@ def bernoulli_field(keys: np.ndarray, round_index: int, threshold: np.ndarray) -
     return words
 
 
-def bernoulli_cells(keys: np.ndarray, round_index: int, threshold: np.ndarray,
+def bernoulli_cells(row_hash: np.ndarray, round_index: int, threshold: np.ndarray,
                     rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The draws of bernoulli_field(keys, round_index, threshold) at the
-    cells (keys[rows[i]], slots[i]), as bool, hashing only those cells,
-    _BLOCK_CELLS of them at a time."""
-    prefix = _round_prefix(keys, round_index)
+    """The draws of bernoulli_field(row_hash, round_index, threshold) at the
+    cells (rows[i], slots[i]), rows indexing row_hash, as bool, hashing only
+    those cells, _BLOCK_CELLS of them at a time."""
+    prefix = _round_prefix(row_hash, round_index)
     bits = np.empty(rows.size, dtype=bool)
     for start in range(0, rows.size, _BLOCK_CELLS):
         r, v = rows[start:start + _BLOCK_CELLS], slots[start:start + _BLOCK_CELLS]

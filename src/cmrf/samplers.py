@@ -31,15 +31,8 @@ import numpy as np
 
 from .cnf import ConstraintSet, Literal
 from .model import ModelParams, marginals
-from .rng import (
-    WORD,
-    bernoulli_cells,
-    bernoulli_field,
-    bernoulli_threshold,
-    fold_seed,
-    row_keys,
-    uniform_field,
-)
+from .rng import (WORD, bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed,
+                  row_hashes, uniform_field)
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -173,6 +166,7 @@ class _ConstraintKernel:
             return V
         slots = self.literal_slots.slots
         one = table[slots[0]]
+        # Clause-only sets skip `two`, which made the ksat(1000) check 3x slower.
         two = np.zeros_like(one) if self.has_groups else None
         for slot in slots[1:]:
             w = table[slot]
@@ -231,7 +225,8 @@ def _kernel(cs: ConstraintSet) -> _ConstraintKernel:
 
 
 # Share of the (active rows x n) cells a round redraws above which it hashes
-# the whole field; below it, only the masked cells (BENCH_masked_draws.json).
+# every cell of the active rows; below it, only the masked cells. Either path
+# alone was slower on some ladder instance (BENCH_packed_rounds.json).
 _DENSE_SHARE = 0.25
 
 
@@ -256,13 +251,13 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
 
     `active` marks the rows still resampling, one bit per row. A word leaves
     the table once none of its 64 rows is active; word_id holds the batch
-    word of each table column and keys the row keys of its 64 rows."""
+    word of each table column and row_hash the row hashes of its 64 rows."""
     kernel = _kernel(cs)
     n, b = cs.n_vars, cfg.batch_size
     threshold = bernoulli_threshold(marginals(m))
     word_id = np.arange(-(-b // 64))
-    keys = row_keys(cfg.seed, cfg.row_offset + np.arange(64 * word_id.size, dtype=np.int64))
-    values = bernoulli_field(keys[:b], 0, threshold)
+    row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * word_id.size, dtype=np.int64))
+    values = bernoulli_field(row_hash[:b], 0, threshold)
     table = kernel.table(values)
     X = table[:n]
     active = np.full(word_id.size, ~np.uint64(0), dtype=WORD)
@@ -293,7 +288,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
                 values[:, word_id[~keep]] = X[:, ~keep]
                 table, V = table.compress(keep, axis=1), V.compress(keep, axis=1)
                 active, word_id = active[keep], word_id[keep]
-                keys = keys.reshape(-1, 64)[keep].reshape(-1)
+                row_hash = row_hash.reshape(-1, 64)[keep].reshape(-1)
                 X = table[:n]
         if t == cfg.t_tryout:
             break
@@ -303,7 +298,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         mask = kernel.union_mask(V)
         if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * np.bitwise_count(active).sum():
             live = _columns(active)
-            field = bernoulli_field(keys[live], t, threshold).view(np.uint8)
+            field = bernoulli_field(row_hash[live], t, threshold).view(np.uint8)
             drawn = np.zeros((n, 64 * X.shape[1]), dtype=np.uint8)
             drawn[:, live] = np.unpackbits(field, axis=1, count=live.size, bitorder="little")
             X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
@@ -313,7 +308,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             slot, column = np.divmod(masked, mask.shape[1])
             word = at >> 6
             rows = (column[word] << 6) | (at & 63)
-            bits[at] = bernoulli_cells(keys, t, threshold, rows, slot[word])
+            bits[at] = bernoulli_cells(row_hash, t, threshold, rows, slot[word])
             flat = X.reshape(-1)
             flat[masked] = flat[masked] & ~mask.reshape(-1)[masked] | np.packbits(
                 bits, bitorder="little").view(WORD)

@@ -12,7 +12,7 @@ from cmrf.rng import (
     bernoulli_cells,
     bernoulli_field,
     bernoulli_threshold,
-    row_keys,
+    row_hashes,
     uniform_field,
 )
 
@@ -46,7 +46,7 @@ def test_threshold_matches_float_compare_at_the_boundaries():
 
 def _field(seed, rows, round_index, threshold):
     """bernoulli_field unpacked to (len(rows), len(threshold)) bool."""
-    words = bernoulli_field(row_keys(seed, rows), round_index, threshold)
+    words = bernoulli_field(row_hashes(seed, rows), round_index, threshold)
     assert words.dtype == rng.WORD
     assert words.shape == (threshold.size, -(-len(rows) // 64))
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
@@ -68,7 +68,7 @@ def test_bernoulli_field_ends():
 
 
 WIDTH = 300
-BLOCK_ROWS = rng._BLOCK_CELLS // WIDTH  # rows per block of a row-major field at WIDTH
+BLOCK_ROWS = rng._BLOCK_CELLS // WIDTH  # rows of WIDTH cells that fill one block
 ROW_STEP = 64 * (rng._BLOCK_CELLS // (64 * WIDTH))  # rows per block at WIDTH
 WIDE = rng._BLOCK_CELLS // 64 + 1  # 64 rows of this many variables overflow a block
 
@@ -103,7 +103,7 @@ def test_bernoulli_cells_equal_the_field_at_the_cells(seed, round_index, mask, p
     ids = np.arange(100, 100 + 2 * rows, 2)
     threshold = bernoulli_threshold(p)
     r, v = np.nonzero(mask)
-    cells = bernoulli_cells(row_keys(seed, ids), round_index, threshold, r, v)
+    cells = bernoulli_cells(row_hashes(seed, ids), round_index, threshold, r, v)
     assert np.array_equal(cells, _field(seed, ids, round_index, threshold)[mask])
 
 
@@ -115,5 +115,5 @@ def test_bernoulli_cells_across_blocks():
     cells = np.random.default_rng(2).permutation(rows * width)[: rng._BLOCK_CELLS * 2 + 7]
     r, v = np.divmod(cells, width)
     threshold = bernoulli_threshold(p)
-    bits = bernoulli_cells(row_keys(9, ids), 5, threshold, r, v)
+    bits = bernoulli_cells(row_hashes(9, ids), 5, threshold, r, v)
     assert np.array_equal(bits, _field(9, ids, 5, threshold)[r, v])
