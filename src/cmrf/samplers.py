@@ -125,7 +125,7 @@ class _ConstraintKernel:
     where `~one | (two & is_group)`, so clauses and groups share one pass and
     need no counts. union_mask ORs the violation words over the constraints
     of each variable. Both walk _Slots, whose gathers cost the same at any
-    width; np.bitwise_or.reduceat over the same lists was 2-5x slower from
+    width; np.bitwise_or.reduceat over the same lists was 2-6x slower from
     16 words on.
     """
 
@@ -257,7 +257,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     threshold = bernoulli_threshold(marginals(m))
     word_id = np.arange(-(-b // 64))
     row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * word_id.size, dtype=np.int64))
-    values = bernoulli_field(row_hash[:b], 0, threshold)
+    values = bernoulli_field(row_hash[:b], 0, threshold)  # then keeps each dropped word
     table = kernel.table(values)
     X = table[:n]
     active = np.full(word_id.size, ~np.uint64(0), dtype=WORD)
@@ -297,7 +297,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         tally += np.bitwise_count(V[:-1]).sum(axis=1, dtype=np.int64)
         mask = kernel.union_mask(V)
         if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * np.bitwise_count(active).sum():
-            live = _columns(active)
+            live = _columns(active)  # done rows stay in their word until it drops
             field = bernoulli_field(row_hash[live], t, threshold).view(np.uint8)
             drawn = np.zeros((n, 64 * X.shape[1]), dtype=np.uint8)
             drawn[:, live] = np.unpackbits(field, axis=1, count=live.size, bitorder="little")
