@@ -77,6 +77,11 @@ class ConstraintSet:
                 raise ValueError("empty exactly-one group")
             if any(not 0 <= v < self.n_vars for v in g):
                 raise ValueError("exactly-one group variable out of range")
+        fields = (self.n_vars, self.clauses, self.exactly_one_groups)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash  # the dataclass hash walks every clause on each call
 
     @property
     def n_clauses(self) -> int:

@@ -25,7 +25,7 @@ bit-identical and every run is reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,21 +72,6 @@ class SamplerStats:
     exhausted: int = 0
 
 
-def _pack(lists) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged integer lists as (len(lists), K) values and a liveness mask, K
-    the longest length. Dead slots repeat the row's first value (0 for an
-    empty row), so they index something valid and the mask drops them."""
-    width = max(map(len, lists), default=0)
-    values = np.zeros((len(lists), width), dtype=np.intp)
-    live = np.zeros((len(lists), width), dtype=bool)
-    for r, row in enumerate(lists):
-        if row:
-            values[r] = row[0]
-            values[r, : len(row)] = row
-            live[r, : len(row)] = True
-    return values, live
-
-
 class _Slots:
     """Ragged integer lists, each nonempty, as slots widest list first:
     slots[k] holds the k-th entry of every list that has one, so those lists
@@ -111,12 +96,10 @@ class _Slots:
 
 
 class _ConstraintKernel:
-    """Every constraint, clause or exactly-one group, as one row of slots.
-
-    idx[j] holds the variables of constraint j, neg[j] the negation of each
-    literal (never set for groups) and live[j] which slots are real. var_c[i]
-    and var_live[i] are the transposed lists: the constraints that contain
-    variable i. gibbs_levels plans from these.
+    """Every constraint, clause or exactly-one group, as a list of literal
+    codes: codes[j] holds v + n * negated for each literal of constraint j
+    (group literals are never negated), and containing[i] lists the
+    constraints that hold variable i.
 
     The resamplers check a batch packed 64 rows to a word (rng.WORD) in a
     (2n, words) table: row v holds x_v and row n + v its negation. Over the
@@ -132,23 +115,19 @@ class _ConstraintKernel:
     def __init__(self, cs: ConstraintSet):
         literals = [cl.literals for cl in cs.clauses]
         literals += [[Literal(v) for v in sorted(g)] for g in cs.exactly_one_groups]
-        self.n = cs.n_vars
+        n = self.n = cs.n_vars
         self.is_group = np.arange(len(literals)) >= cs.n_clauses
         self.has_groups = bool(cs.exactly_one_groups)
-        self.idx, self.live = _pack([[lit.variable_index for lit in row] for row in literals])
-        neg, _ = _pack([[lit.negated for lit in row] for row in literals])
-        self.neg = neg.astype(bool)
-        containing = [[] for _ in range(self.n)]
-        for j, row in enumerate(literals):
-            for lit in row:
-                containing[lit.variable_index].append(j)
-        self.var_c, self.var_live = _pack(containing)
-        self.literal_slots = _Slots(
-            [[lit.variable_index + self.n * lit.negated for lit in row] for row in literals])
+        self.codes = [[lit.variable_index + n * lit.negated for lit in row] for row in literals]
+        self.containing = [[] for _ in range(n)]
+        for j, row in enumerate(self.codes):
+            for code in row:
+                self.containing[code % n].append(j)
+        self.literal_slots = _Slots(self.codes)
         self.group_words = np.where(self.is_group[self.literal_slots.order, None],
                                     ~np.uint64(0), np.uint64(0)).astype(WORD)
         # A variable in no constraint reads row n_constraints of V, which is 0.
-        self.var_slots = _Slots([row or [len(literals)] for row in containing])
+        self.var_slots = _Slots([row or [len(literals)] for row in self.containing])
 
     def table(self, values: np.ndarray) -> np.ndarray:
         """The (2n, words) table of (n, words) packed values."""
@@ -184,8 +163,12 @@ class _ConstraintKernel:
         V marks violated."""
         return self.var_slots.or_rows(V)
 
+    @cached_property
     def gibbs_levels(self) -> list[tuple[np.ndarray, ...]]:
         """Plan of an index-order Gibbs sweep that updates a level at a time.
+
+        The chain is a vector of 2n + 1 cells: the values, their negations and
+        one constant False, so literal code c reads cell c, as in table().
 
         A variable's level is one more than the highest level of any
         lower-indexed variable it shares a constraint with, or 0 if none. So
@@ -193,27 +176,36 @@ class _ConstraintKernel:
         sit in earlier levels and higher-indexed ones in later levels, and
         updating a whole level at once equals the site-by-site scan.
 
-        Each level is (members, slots, neg, other, lo, hi). Row d of member k
-        is its d-th constraint; `other` marks the slots of the other
-        variables. With the member at value v the constraint holds exactly
-        when the true-literal count over those slots lies in [lo[v], hi[v]];
-        padding rows hold for every count.
+        Each level is (members, lits, lo, hi). lits[k, d] holds the literal
+        codes of member k's d-th constraint, with the member's own literal
+        and the padding at the False cell. With the member at value v the
+        constraint holds exactly when the true-literal count over lits[k, d]
+        lies in [lo[v, k, d], hi[v, k, d]]; padding rows hold for every count.
         """
-        level = np.zeros(self.n, dtype=np.intp)
-        for i in range(self.n):
-            cons = self.var_c[i, self.var_live[i]]
-            lower = self.idx[cons][self.live[cons] & (self.idx[cons] < i)]
-            level[i] = level[lower].max(initial=-1) + 1
+        n, false = self.n, 2 * self.n
+        level = [-1] * n  # -1 until visited, so only lower-indexed neighbours count
+        for i in range(n):
+            level[i] = 1 + max((level[c % n] for j in self.containing[i] for c in self.codes[j]),
+                               default=-1)
+        level = np.array(level, dtype=np.intp)
         out = []
         for lv in range(level.max(initial=-1) + 1):
             members = np.flatnonzero(level == lv)
-            cons, real = self.var_c[members], self.var_live[members]
-            slots, live = self.idx[cons], self.live[cons]
-            own = live & (slots == members[:, None, None])
-            neg_own = (self.neg[cons] & own).any(axis=-1)
-            lo = np.where(real, np.stack([~neg_own, neg_own]), 0)
-            hi = np.where(real & self.is_group[cons], lo, slots.shape[-1])
-            out.append((members, slots, self.neg[cons], live & ~own, lo, hi))
+            cons = [self.containing[i] for i in members]
+            width = max((len(self.codes[j]) for row in cons for j in row), default=0)
+            lits = np.full((members.size, max(map(len, cons)), width), false, dtype=np.intp)
+            group = np.zeros(lits.shape[:2], dtype=bool)
+            for k, row in enumerate(cons):
+                for d, j in enumerate(row):
+                    lits[k, d, : len(self.codes[j])] = self.codes[j]
+                    group[k, d] = self.is_group[j]
+            own = members[:, None, None]
+            negated = (lits == own + n).any(axis=-1)
+            real = negated | (lits == own).any(axis=-1)
+            lits[(lits == own) | (lits == own + n)] = false
+            lo = np.where(real, np.stack([~negated, negated]), 0)
+            hi = np.where(real & group, lo, width)
+            out.append((members, lits, lo, hi))
         return out
 
 
@@ -394,7 +386,8 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
             raise ValueError("init must satisfy all constraints")
 
     p_one = 1.0 - marginals(m)
-    levels = kernel.gibbs_levels()
+    xt = np.concatenate([x, ~x, [False]])  # the values, their negations, False
+    values, negations = xt[:n], xt[n:-1]
     chain_seed = fold_seed(cfg.seed, "gibbs-chain")
     total_sweeps = cfg.gibbs_burn_in + cfg.gibbs_thinning * cfg.batch_size
     rows = np.empty((cfg.batch_size, n), dtype=np.uint8)
@@ -407,12 +400,14 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
         )
         draws_one = uniform_field(chain_seed, sweeps, 0, n) < p_one
         for local, sweep in enumerate(sweeps):
-            for members, slots, neg, other, lo, hi in levels:
-                count = ((x[slots] ^ neg) & other).sum(axis=-1)
+            for members, lits, lo, hi in kernel.gibbs_levels:
+                count = xt[lits].sum(axis=-1)
                 ok0, ok1 = ((lo <= count) & (count <= hi)).all(axis=-1)
-                x[members] = ~ok0 | (ok1 & draws_one[local, members])
+                values[members] = ~ok0 | (ok1 & draws_one[local, members])
+                # One pass over all n cells costs less than a second scatter.
+                np.logical_not(values, out=negations)
             if sweep > cfg.gibbs_burn_in and (sweep - cfg.gibbs_burn_in) % cfg.gibbs_thinning == 0:
-                rows[emitted] = x
+                rows[emitted] = values
                 rounds[emitted] = sweep
                 emitted += 1
     batch = AssignmentBatch(rows=rows, valid_flags=np.ones(cfg.batch_size, dtype=bool))

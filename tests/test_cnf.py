@@ -77,6 +77,23 @@ class TestParseDimacs:
         assert parse_dimacs(emit_dimacs(cs)) == cs
 
 
+def test_constraint_set_hash_is_computed_once(monkeypatch):
+    cs = ConstraintSet(n_vars=3, clauses=(clause(1, -2), clause(2, 3)),
+                       exactly_one_groups=({0, 2},))
+    value = hash((cs.n_vars, cs.clauses, cs.exactly_one_groups))
+    assert hash(cs) == value
+    walked = []
+    clause_hash = Clause.__hash__
+    monkeypatch.setattr(Clause, "__hash__", lambda c: walked.append(c) or clause_hash(c))
+    hash(cs.clauses)
+    assert walked == list(cs.clauses)  # the counter sees every clause a hash walks
+    walked.clear()
+    assert hash(cs) == value and not walked
+    twin = ConstraintSet(n_vars=3, clauses=cs.clauses, exactly_one_groups=cs.exactly_one_groups)
+    assert twin == cs and hash(twin) == hash(cs)
+    assert ConstraintSet(n_vars=3, clauses=cs.clauses) != cs
+
+
 class TestViolatedConstraints:
     def test_toy_violation(self, toy_cs):
         assert violated_constraints(toy_cs, (0, 0, 1)) == {0}

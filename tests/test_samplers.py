@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -189,12 +190,17 @@ def test_kernel_matches_reference(case):
 
 
 def test_kernel_is_built_once_per_constraint_set(monkeypatch):
-    builds = []
+    builds, plans = [], []
 
     class Counting(_ConstraintKernel):
         def __init__(self, cs):
             builds.append(cs)
             super().__init__(cs)
+
+        @cached_property
+        def gibbs_levels(self):
+            plans.append(self)
+            return _ConstraintKernel.gibbs_levels.func(self)
 
     monkeypatch.setattr(samplers, "_ConstraintKernel", Counting)
     samplers._kernel.cache_clear()
@@ -203,8 +209,13 @@ def test_kernel_is_built_once_per_constraint_set(monkeypatch):
     for seed in range(3):
         nelson_sample(cs, m, SamplerConfig(batch_size=50, seed=seed))
     moser_tardos_sample(cs, m, SamplerConfig(batch_size=50))
-    gibbs_sample(cs, m, SamplerConfig(batch_size=5, gibbs_burn_in=2, gibbs_thinning=1))
-    assert builds == [cs]
+    assert not plans  # the resamplers never build the Gibbs plan
+    chains = [gibbs_sample(cs, m, SamplerConfig(batch_size=5, seed=seed, gibbs_burn_in=2,
+                                                gibbs_thinning=1))[0].rows
+              for seed in (1, 2, 1)]
+    assert builds == [cs] and len(plans) == 1
+    # A chain leaves the shared plan as it found it.
+    assert np.array_equal(chains[0], chains[2]) and not np.array_equal(chains[0], chains[1])
     samplers._kernel.cache_clear()
 
 
@@ -264,6 +275,15 @@ def _site_by_site_gibbs(cs, m, cfg, x0):
 @example((  # a size-1 group pins its member
     ConstraintSet(n_vars=2, clauses=(clause(-1, 2),), exactly_one_groups=(frozenset({1}),)),
     [0.0, 0.0], np.array([1, 1], dtype=np.uint8), 5,
+))
+@example((  # level 0 is {0, 1}: degrees 1 and 2, widths 2 against 3 and 2, own literal
+    # of variable 0 negated, and a group, so rows and slots are padded
+    ConstraintSet(
+        n_vars=4,
+        clauses=(clause(-1, 3), clause(2, -3, 4)),
+        exactly_one_groups=(frozenset({1, 3}),),
+    ),
+    [0.3, -0.7, 1.2, 0.0], np.array([1, 1, 1, 0], dtype=np.uint8), 7,
 ))
 @example((  # a clause and a group sharing variables
     ConstraintSet(
