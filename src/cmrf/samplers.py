@@ -200,8 +200,8 @@ class _ConstraintKernel:
                     lits[k, d, : len(self.codes[j])] = self.codes[j]
                     group[k, d] = self.is_group[j]
             own = members[:, None, None]
+            real = (lits != false).any(axis=-1)
             negated = (lits == own + n).any(axis=-1)
-            real = negated | (lits == own).any(axis=-1)
             lits[(lits == own) | (lits == own + n)] = false
             lo = np.where(real, np.stack([~negated, negated]), 0)
             hi = np.where(real & group, lo, width)
