@@ -61,6 +61,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _count(text: str) -> int:
+    """A row count (--n, --grad-m): at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 @dataclass
 class RunPlan:
     command: str
@@ -86,7 +94,7 @@ def _build_parser() -> _Parser:
     sample.add_argument("--groups", default=None)
     sample.add_argument("--theta", required=True)
     sample.add_argument("--sampler", required=True, choices=sorted(SAMPLERS))
-    sample.add_argument("--n", required=True, type=int, help="number of rows to draw")
+    sample.add_argument("--n", required=True, type=_count, help="number of rows to draw")
     sample.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
     sample.add_argument("--burn-in", type=int, default=None,
                         help=f"gibbs only (default: {SamplerConfig.gibbs_burn_in})")
@@ -114,7 +122,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--theta", required=True)
     ev.add_argument("--preferred", required=True)
     ev.add_argument("--unseen", required=True)
-    ev.add_argument("--grad-m", type=int, default=None,
+    ev.add_argument("--grad-m", type=_count, default=None,
                     help="also estimate gradient error with this many samples")
     ev.add_argument("--seed", type=_seed, default=None,
                     help="seed of the --grad-m draws (default: 0)")
@@ -240,7 +248,7 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
             fh.write(encode_rows(batch.rows, batch.valid_flags))
             rounds[start:start + size] = stats.rounds_per_row
             tally += stats.per_constraint_resamples
-            exhausted += stats.exhausted
+            exhausted += size - int(np.count_nonzero(batch.valid_flags))
     _write_stats(outdir / "stats.json", rounds, tally, exhausted)
     summary = resample_stats(SamplerStats(rounds, tally))
     save_histogram_csv(summary.histogram, outdir / "histogram.csv")

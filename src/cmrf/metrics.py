@@ -26,8 +26,10 @@ def map_at_10(theta: ModelParams, preferred, unseen) -> float:
     keys = row_keys(both)
     preferred_keys = set(keys[:len(preferred)])
     pool = dict(zip(keys, both))  # equal keys are equal rows
-    if not preferred_keys or len(pool) == len(preferred_keys):
+    if len(preferred) == 0 or len(unseen) == 0:
         raise ValueError("both assignment sets must be nonempty")
+    if len(pool) == len(preferred_keys):
+        raise ValueError("every unseen assignment is also preferred")
     if len(pool) < 10:
         raise ValueError(f"need at least 10 candidates, got {len(pool)}")
 

@@ -26,6 +26,8 @@ class ProblemInstance:
 
 def gen_ksat(n: int, L: int, K: int, seed: int = 0) -> ProblemInstance:
     """L random clauses of exactly K distinct variables, fair-coin polarities."""
+    if K < 1:
+        raise ValueError(f"clause width {K} must be >= 1")
     if K > n:
         raise ValueError(f"clause width {K} exceeds variable count {n}")
     ksat_seed = fold_seed(seed, "ksat")

@@ -47,7 +47,6 @@ class SamplerConfig:
     gibbs_burn_in: int = 1000
     gibbs_thinning: int = 10
     row_offset: int = 0     # first global row index; makes split batches reproducible
-    record: bool = False    # keep per-row sequences of violated-constraint sets
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -68,8 +67,6 @@ class AssignmentBatch:
 class SamplerStats:
     rounds_per_row: np.ndarray           # (b,) int64 satisfaction-check rounds
     per_constraint_resamples: np.ndarray  # (n_constraints,) int64 resample events
-    records: list[list[frozenset[int]]] | None = None
-    exhausted: int = 0
 
 
 class _Slots:
@@ -257,17 +254,11 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         active[-1] = (1 << (b % 64)) - 1
     finished = []  # (round, words, word_id): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
-    records = [[] for _ in range(b)] if cfg.record else None
 
     for t in range(1, cfg.t_tryout + 1):
         V = kernel.violations(table)
         V &= active
         still = np.bitwise_or.reduce(V, axis=0)
-        if records is not None:
-            bits = np.unpackbits(V[:-1].view(np.uint8), axis=1, bitorder="little")
-            for at in bits.any(axis=0).nonzero()[0]:
-                row = (word_id[at >> 6] << 6) | (at & 63)
-                records[row].append(frozenset(bits[:, at].nonzero()[0].tolist()))
         done = active ^ still
         if done.any():
             finished.append((t, done, word_id))
@@ -316,13 +307,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         rounds[rows] = np.repeat(check, [w.size for w in words])[at >> 6]
         valid[rows] = True
     batch = AssignmentBatch(rows=_unpack_rows(values, b), valid_flags=valid)
-    stats = SamplerStats(
-        rounds_per_row=rounds,
-        per_constraint_resamples=tally,
-        records=records,
-        exhausted=int(b - valid.sum()),
-    )
-    return batch, stats
+    return batch, SamplerStats(rounds_per_row=rounds, per_constraint_resamples=tally)
 
 
 def _unpack_rows(words: np.ndarray, b: int) -> np.ndarray:
@@ -370,7 +355,7 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
     n = cs.n_vars
     kernel = _kernel(cs)
     if init is None:
-        init_cfg = replace(cfg, batch_size=_RETRY_BATCHES, record=False, row_offset=0,
+        init_cfg = replace(cfg, batch_size=_RETRY_BATCHES, row_offset=0,
                            seed=fold_seed(cfg.seed, "gibbs-init"))
         starts, _ = nelson_sample(cs, m, init_cfg)
         if not starts.valid_flags.any():
@@ -411,13 +396,8 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
                 rounds[emitted] = sweep
                 emitted += 1
     batch = AssignmentBatch(rows=rows, valid_flags=np.ones(cfg.batch_size, dtype=bool))
-    stats = SamplerStats(
-        rounds_per_row=rounds,
-        per_constraint_resamples=np.zeros(cs.n_constraints, dtype=np.int64),
-        records=None,
-        exhausted=0,
-    )
-    return batch, stats
+    return batch, SamplerStats(rounds_per_row=rounds,
+                               per_constraint_resamples=np.zeros(cs.n_constraints, dtype=np.int64))
 
 
 _RETRY_BATCHES = 10  # batches draw_valid_rows tries; also the rows a Gibbs start draws

@@ -1,7 +1,8 @@
 """Shared test instances.
 
-Builders for small extremal constraint sets with known structure, plus a
-deterministic corpus used by the statistical suites. Corpus instances are
+Builders for small extremal constraint sets with known structure, a
+deterministic corpus used by the statistical suites, and a replay of the
+violated sets a resampler run checked. Corpus instances are
 kept small-support on purpose: with 1e5 draws the expected total-variation
 distance of an empirical distribution scales like sqrt(support / draws), so
 supports above a few hundred states could not meet a 0.02 bound no matter
@@ -10,14 +11,16 @@ how correct the sampler is.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
-from cmrf.cnf import ConstraintSet, check_extremal, clause
+from cmrf.cnf import ConstraintSet, check_extremal, clause, violation_matrix
 from cmrf.model import ModelParams
 from cmrf.oracle import EmptySupportError, exact_distribution, expected_resamples
 from cmrf.problems import gen_sinkfree
+from cmrf.samplers import SamplerConfig
 
 MAX_CORPUS_SUPPORT = 150
 
@@ -113,6 +116,30 @@ def extremal_corpus() -> tuple[tuple[str, ConstraintSet], ...]:
         assert cs.n_vars <= 12
     assert len(entries) >= 20
     return tuple(entries)
+
+
+def replay_violations(sampler, cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig):
+    """A seeded resampler run and, per row, the violated sets S_1, S_2, ...
+    that its checks found, read with the reference evaluator.
+
+    Draws are keyed by (row, round, variable), so the run with t_tryout = t
+    is a prefix of the full run: rows the full run finished by round t come
+    back unchanged, and every other row comes back invalid at round t, in
+    the state that round checked. This asserts the prefix property for every
+    t up to the last round with a violation.
+    """
+    batch, stats = sampler(cs, m, cfg)
+    rounds = stats.rounds_per_row
+    records = [[] for _ in range(cfg.batch_size)]
+    for t in range(1, int((rounds - batch.valid_flags).max(initial=0)) + 1):
+        cut, cut_stats = sampler(cs, m, replace(cfg, t_tryout=t))
+        done = batch.valid_flags & (rounds <= t)
+        assert np.array_equal(cut.rows[done], batch.rows[done]), t
+        assert np.array_equal(cut.valid_flags, done), t
+        assert np.array_equal(cut_stats.rounds_per_row, np.where(done, rounds, t)), t
+        for row, violated in zip(np.flatnonzero(~done), violation_matrix(cs, cut.rows[~done])):
+            records[row].append(frozenset(np.flatnonzero(violated).tolist()))
+    return batch, stats, records
 
 
 def random_thetas(n: int, count: int, seed: int) -> list[ModelParams]:

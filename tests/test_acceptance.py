@@ -335,8 +335,9 @@ def test_criterion_07_learning_improves():
 
 
 def test_criterion_08_record_structure():
-    """Across 1e4 recorded runs, every transition S_{t+1} is inside Gamma(S_t)
-    and every recorded violated set is independent in the dependency graph."""
+    """Across 1e4 runs, every transition S_{t+1} is inside Gamma(S_t) and
+    every violated set is independent in the dependency graph. The sets are
+    replayed from runs cut short and read with the reference evaluator."""
     runs = 0
     violations = 0
     dependent_sets = 0
@@ -345,13 +346,14 @@ def test_criterion_08_record_structure():
     for idx in picks:
         name, cs = instances[idx]
         g = build_dependency_graph(cs)
-        _, stats = nelson_sample(
+        _, _, records = corpus.replay_violations(
+            nelson_sample,
             cs,
             corpus.uniform_params(cs),
-            SamplerConfig(batch_size=2000, seed=80 + idx, record=True),
+            SamplerConfig(batch_size=2000, seed=80 + idx),
         )
-        runs += len(stats.records)
-        for rec in stats.records:
+        runs += len(records)
+        for rec in records:
             for t in range(len(rec) - 1):
                 if not rec[t + 1] <= gamma(g, rec[t]):
                     violations += 1

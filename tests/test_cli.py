@@ -475,6 +475,21 @@ class TestErrorPaths:
         assert error["type"] == "UsageError" and "2**64" in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_row_count_below_one_exits_1(self, tmp_path, capsys, command, count):
+        # Rejected while parsing, before any input is read.
+        argv, flag = {
+            "sample": (["sample", "--cnf", "c", "--theta", "t", "--sampler", "nelson"], "--n"),
+            "eval": (["eval", "--cnf", "c", "--theta", "t", "--preferred", "p", "--unseen", "u"],
+                     "--grad-m"),
+        }[command]
+        out = tmp_path / "o"
+        assert run([*argv, flag, count, "--out", str(out)]) == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "UsageError" and flag in error["message"]
+        assert not out.exists()
+
     def test_largest_seed_is_accepted(self, tmp_path):
         cnf, theta = _write_toy(tmp_path)
         out = tmp_path / "o"

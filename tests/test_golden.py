@@ -79,10 +79,10 @@ def _resampler(sampler, instance, batch_size):
 
 def _toy_records():
     cs = corpus.toy_formula()
-    cfg = SamplerConfig(batch_size=200, seed=13, record=True)
-    batch, stats = nelson_sample(cs, ModelParams(np.zeros(cs.n_vars)), cfg)
-    records = repr([[sorted(s) for s in rec] for rec in stats.records])
-    return _digest(_run_digest(batch, stats), records)
+    cfg = SamplerConfig(batch_size=200, seed=13)
+    batch, stats, records = corpus.replay_violations(
+        nelson_sample, cs, ModelParams(np.zeros(cs.n_vars)), cfg)
+    return _digest(_run_digest(batch, stats), repr([[sorted(s) for s in rec] for rec in records]))
 
 
 def _gibbs_chain():

@@ -7,15 +7,18 @@ back to the paper's tensor formulation (`tensors`) or up to the trainer
 stays independent of the sampler kernel it checks and of the trainer, and
 `cnf` is the bottom layer: it imports no other cmrf module. In `rng`, every
 draw is a keyed view of one splitmix chain: no class holds generator state,
-and only `hash_u64` calls the mixer.
+and only `hash_u64` calls the mixer. The sampler settings and statistics
+have pinned fields, so a new knob or counter has to edit a test.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cmrf
+from cmrf.samplers import SamplerConfig, SamplerStats
 
 PACKAGE = Path(cmrf.__file__).parent
 
@@ -92,3 +95,10 @@ def test_rng_is_one_stateless_chain():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_mix"
     }
     assert callers == {"hash_u64"}
+
+
+def test_sampler_settings_and_stats_are_pinned():
+    assert [f.name for f in fields(SamplerConfig)] == [
+        "batch_size", "seed", "t_tryout", "gibbs_burn_in", "gibbs_thinning", "row_offset"]
+    assert [f.name for f in fields(SamplerStats)] == [
+        "rounds_per_row", "per_constraint_resamples"]

@@ -48,6 +48,18 @@ class TestMapAt10:
         with pytest.raises(ValueError, match="10"):
             map_at_10(theta, _assignments(4, (0,)), _assignments(4, (1, 2)))
 
+    def test_empty_set(self):
+        theta = ModelParams(np.zeros(4))
+        for preferred, unseen in ((_assignments(4, range(12)), []),
+                                  ([], _assignments(4, range(12)))):
+            with pytest.raises(ValueError, match="nonempty"):
+                map_at_10(theta, preferred, unseen)
+
+    def test_unseen_adds_no_candidate(self):
+        theta = ModelParams(np.zeros(4))
+        with pytest.raises(ValueError, match="every unseen assignment is also preferred"):
+            map_at_10(theta, _assignments(4, range(12)), _assignments(4, (3, 5, 3)))
+
     def test_scale_invariance(self):
         theta = ModelParams(np.array([1.0, -0.5, 0.25, 2.0]))
         preferred = _assignments(4, (3, 5, 9))

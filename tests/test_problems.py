@@ -36,8 +36,9 @@ class TestKsat:
         assert gen_ksat(8, 6, 3, seed=5).constraints != gen_ksat(8, 6, 3, seed=6).constraints
 
     def test_width_exceeds_vars(self):
-        with pytest.raises(ValueError, match="width"):
-            gen_ksat(5, 3, 6, seed=0)
+        for K in (6, 0, -2):  # wider than the 5 variables, or below 1
+            with pytest.raises(ValueError, match=f"clause width {K}"):
+                gen_ksat(5, 3, K, seed=0)
 
     def test_polarities_vary(self):
         inst = gen_ksat(12, 30, 4, seed=1)

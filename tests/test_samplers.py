@@ -65,7 +65,7 @@ class TestNelson:
         cfg = SamplerConfig(batch_size=50, seed=0, t_tryout=25)
         batch, stats = nelson_sample(cs, uniform(1), cfg)
         assert not batch.valid_flags.any()
-        assert stats.exhausted == 50
+        assert np.count_nonzero(~batch.valid_flags) == 50
         assert (stats.rounds_per_row == 25).all()
 
     def test_valid_flags_imply_satisfaction(self):
@@ -387,7 +387,7 @@ class TestDeterminism:
             assert np.array_equal(batch.valid_flags, valid[:b]), b
             assert np.array_equal(stats.rounds_per_row, rounds[:b]), b
             assert np.array_equal(stats.per_constraint_resamples, tallies[:b].sum(axis=0)), b
-            assert stats.exhausted == b - valid[:b].sum()
+            assert np.count_nonzero(batch.valid_flags) == valid[:b].sum()
 
     def test_seed_changes_output(self, toy_cs, toy_uniform):
         b1, _ = nelson_sample(toy_cs, toy_uniform, SamplerConfig(batch_size=200, seed=1))
@@ -399,26 +399,38 @@ class TestRecords:
     def test_transitions_stay_in_gamma(self):
         for name, cs in corpus.extremal_corpus()[:8]:
             m = corpus.uniform_params(cs)
-            _, stats = nelson_sample(
-                cs, m, SamplerConfig(batch_size=1500, seed=11, record=True)
+            _, _, records = corpus.replay_violations(
+                nelson_sample, cs, m, SamplerConfig(batch_size=1500, seed=11)
             )
             g = build_dependency_graph(cs)
-            for rec in stats.records:
+            for rec in records:
                 for t in range(len(rec) - 1):
                     assert rec[t + 1] <= gamma(g, rec[t]), name
 
-    def test_record_sets_are_violations(self, toy_cs, toy_uniform):
-        _, stats = nelson_sample(
-            toy_cs, toy_uniform, SamplerConfig(batch_size=500, seed=13, record=True)
-        )
-        assert any(len(rec) > 0 for rec in stats.records)
-        for rec in stats.records:
-            for s in rec:
-                assert s and all(0 <= j < toy_cs.n_constraints for j in s)
+    @pytest.mark.parametrize("sampler", [nelson_sample, moser_tardos_sample])
+    @pytest.mark.parametrize("instance", ["toy", "routes3"])
+    def test_cut_run_is_a_prefix(self, sampler, instance):
+        # replay_violations asserts, for every t, that the run with
+        # t_tryout = t keeps the rows done by round t and returns every other
+        # row invalid at round t. Each of those rows must violate a
+        # constraint by the reference evaluator, so a row's replayed sets are
+        # nonempty and there is one per round it was checked and failed.
+        if instance == "toy":
+            cs = corpus.toy_formula()
+            m, cfg = corpus.uniform_params(cs), SamplerConfig(batch_size=500, seed=13)
+        else:
+            from cmrf.problems import gen_routes, instance_theta
 
-    def test_records_off_by_default(self, toy_cs, toy_uniform):
-        _, stats = nelson_sample(toy_cs, toy_uniform, SamplerConfig(batch_size=10, seed=1))
-        assert stats.records is None
+            inst = gen_routes(3, seed=0)
+            cs, m = inst.constraints, instance_theta(inst)
+            cfg = SamplerConfig(batch_size=300, seed=8, t_tryout=50)
+        batch, stats, records = corpus.replay_violations(sampler, cs, m, cfg)
+        assert instance == "toy" or not batch.valid_flags.all()
+        assert any(records)
+        failed = stats.rounds_per_row - batch.valid_flags
+        assert [len(rec) for rec in records] == failed.tolist()
+        for rec in records:
+            assert all(s and max(s) < cs.n_constraints for s in rec)
 
 
 class TestExpectedResampleCounts:
