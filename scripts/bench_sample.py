@@ -12,6 +12,8 @@ its exactly-one groups and instance weights. Each run reports `wall_s`,
 `peak_rss_mb`, `exhausted` (INVALID rows), `valid_share` (valid rows / N),
 `valid_rows_per_s` (valid rows / wall_s) and `mean_rounds` (mean of the
 rounds in stats.json; for gibbs the sweep at which each row was emitted).
+`--burn-in N` is passed to `cmrf sample` for gibbs runs only, and a gibbs
+run records it as `burn_in` (null: the CLI default).
 The results, with the git revision of --src, the numpy version and the CPU
 count, are stored under --label in the output JSON; other labels, and runs
 of other instances or samplers under the same label, are kept, so checkouts
@@ -22,6 +24,8 @@ and instance ladders can be compared in one file:
     python scripts/bench_sample.py --label change --instance ksat:10000 --sizes 1000
     python scripts/bench_sample.py --label change --instance routes:5 --sampler moser \
         --sizes 2000 --repeats 5 --out BENCH_masked_draws.json
+    python scripts/bench_sample.py --label change --instance sinkfree:30 --sampler gibbs \
+        --burn-in 500 --sizes 100 1000 --out BENCH_gibbs_chains.json
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs inside the child: argv[1] is the work directory, argv[2] the row
-# count, argv[3] the instance, argv[4] the sampler.
+# count, argv[3] the instance, argv[4] the sampler, argv[5:] more CLI flags.
 _CHILD = """
 import json, resource, sys, time
 from pathlib import Path
@@ -61,7 +65,7 @@ start = time.perf_counter()
 code = cli.run(["sample", "--cnf", str(work / "instance.cnf"),
                 "--groups", str(work / "instance.json"),
                 "--theta", str(work / "theta.json"), "--sampler", sampler,
-                "--n", n, "--seed", "1", "--out", str(work / "out")])
+                "--n", n, "--seed", "1", "--out", str(work / "out"), *sys.argv[5:]])
 wall = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 stats_path = work / "out" / "stats.json"
@@ -96,10 +100,11 @@ def _instance(text: str) -> str:
     return text
 
 
-def _measure(src: Path, n: int, instance: str, sampler: str) -> dict:
+def _measure(src: Path, n: int, instance: str, sampler: str, flags: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as work:
-        done = subprocess.run([sys.executable, "-c", _CHILD, work, str(n), instance, sampler],
+        done = subprocess.run([sys.executable, "-c", _CHILD, work, str(n), instance, sampler,
+                               *flags],
                               env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -113,24 +118,36 @@ def main() -> int:
     parser.add_argument("--instance", type=_instance, default="sinkfree:80",
                         help="sinkfree:V, ksat:N or routes:C (default: sinkfree:80)")
     parser.add_argument("--sampler", choices=["nelson", "moser", "gibbs"], default="nelson")
+    parser.add_argument("--burn-in", type=int, default=None,
+                        help="gibbs only: sweeps per chain (default: the CLI's)")
     parser.add_argument("--repeats", type=int, default=1, help="runs per size")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sample_stream.json")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    flags, key = [], (args.instance, args.sampler, None)
+    if args.burn_in is not None:
+        if args.sampler != "gibbs":
+            parser.error("--burn-in is read by --sampler gibbs only")
+        if args.burn_in < 1:
+            parser.error("--burn-in must be >= 1")
+        flags, key = ["--burn-in", str(args.burn_in)], key[:2] + (args.burn_in,)
 
     src = args.src.resolve()
     runs = []
     for n in args.sizes:
         for _ in range(args.repeats):
-            result = _measure(src, n, args.instance, args.sampler)
+            result = _measure(src, n, args.instance, args.sampler, flags)
             rate = result["valid_rows_per_s"]
             print(f"{args.label}: {args.sampler} {args.instance} n={n} "
                   f"wall {result['wall_s']:.2f} s, "
                   f"{'-' if rate is None else f'{rate:.0f}'} valid rows/s, "
                   f"peak RSS {result['peak_rss_mb']:.1f} MB, exit {result['exit_code']}")
-            runs.append({"instance": args.instance, "sampler": args.sampler, "n": n,
-                         **{k: result[k] for k in RUN_KEYS}})
+            run = {"instance": args.instance, "sampler": args.sampler, "n": n,
+                   **{k: result[k] for k in RUN_KEYS}}
+            if args.sampler == "gibbs":
+                run["burn_in"] = args.burn_in
+            runs.append(run)
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["workload"] = ("cmrf sample --seed 1 with each run's sampler on each run's "
@@ -146,8 +163,8 @@ def main() -> int:
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "runs": [r for r in kept
-                 if (r.get("instance"), r.get("sampler", "nelson"))
-                 != (args.instance, args.sampler)] + runs,
+                 if (r.get("instance"), r.get("sampler", "nelson"), r.get("burn_in"))
+                 != key] + runs,
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

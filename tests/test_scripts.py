@@ -73,9 +73,22 @@ def test_bench_sample(tmp_path):
         proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
                            "--sampler", sampler, "--sizes", "40", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+    proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
+                       "--sampler", "gibbs", "--burn-in", "3", "--sizes", "40", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
     runs = json.loads(out.read_text())["results"]["t"]["runs"]
-    assert [run["sampler"] for run in runs] == ["nelson", "moser", "gibbs"]
+    assert [run["sampler"] for run in runs] == ["nelson", "moser", "gibbs", "gibbs"]
     for run in runs:
         assert run["exit_code"] == 0 and run["n"] == 40 and run["instance"] == "routes:3"
         assert run["valid_share"] == (40 - run["exhausted"]) / 40
         assert run["valid_rows_per_s"] > 0 and run["mean_rounds"] >= 1
+    assert [run.get("burn_in", "-") for run in runs] == ["-", "-", None, 3]
+    assert runs[3]["mean_rounds"] >= 3
+
+
+def test_bench_sample_burn_in_is_gibbs_only(tmp_path):
+    proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
+                       "--sampler", "nelson", "--burn-in", "3", "--sizes", "40",
+                       "--out", str(tmp_path / "bench.json"))
+    assert proc.returncode == 2 and "--burn-in" in proc.stderr
+    assert not (tmp_path / "bench.json").exists()
