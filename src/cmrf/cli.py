@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
+def seed_value(text: str) -> int:
     """A --seed value. The streams read a seed mod 2**64, so a seed outside
     [0, 2**64) would repeat the output of another while the manifest
     recorded a different one."""
@@ -61,8 +61,10 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _count(text: str) -> int:
-    """A row count (--n, --grad-m): at least 1."""
+def positive_int(text: str) -> int:
+    """A count that must be at least 1: rows (--n, --grad-m), rounds
+    (--tryout) or sweeps (--burn-in). argparse names this function in the
+    message for a value that is not an integer."""
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
@@ -86,7 +88,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--k", type=int, default=None, help="clause width for ksat (default: 5)")
     gen.add_argument("--edge-prob", type=float, default=None,
                      help="edge probability for sinkfree (default: 0.55)")
-    gen.add_argument("--seed", type=_seed, default=0)
+    gen.add_argument("--seed", type=seed_value, default=0)
     gen.add_argument("--out", default=".", help="output directory (default: current)")
 
     sample = sub.add_parser("sample", help="draw assignments from a model")
@@ -94,13 +96,11 @@ def _build_parser() -> _Parser:
     sample.add_argument("--groups", default=None)
     sample.add_argument("--theta", required=True)
     sample.add_argument("--sampler", required=True, choices=sorted(SAMPLERS))
-    sample.add_argument("--n", required=True, type=_count, help="number of rows to draw")
-    sample.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
-    sample.add_argument("--burn-in", type=int, default=None,
-                        help=f"gibbs only (default: {SamplerConfig.gibbs_burn_in})")
-    sample.add_argument("--thin", type=int, default=None,
-                        help=f"gibbs only (default: {SamplerConfig.gibbs_thinning})")
-    sample.add_argument("--seed", type=_seed, default=0)
+    sample.add_argument("--n", required=True, type=positive_int, help="number of rows to draw")
+    sample.add_argument("--tryout", type=positive_int, default=SamplerConfig.t_tryout)
+    sample.add_argument("--burn-in", type=positive_int, default=None, help=(
+        f"gibbs only: sweeps per chain (default: {SamplerConfig.gibbs_burn_in})"))
+    sample.add_argument("--seed", type=seed_value, default=0)
     sample.add_argument("--out", default=".", help="output directory (default: current)")
 
     tr = sub.add_parser("train", help="contrastive-divergence training")
@@ -111,9 +111,9 @@ def _build_parser() -> _Parser:
     tr.add_argument("--eta", type=float, default=TrainConfig.eta)
     tr.add_argument("--iters", type=int, default=TrainConfig.t_max)
     tr.add_argument("--sampler", default=TrainConfig.sampler_kind, choices=sorted(SAMPLERS))
-    tr.add_argument("--tryout", type=int, default=SamplerConfig.t_tryout)
+    tr.add_argument("--tryout", type=positive_int, default=SamplerConfig.t_tryout)
     tr.add_argument("--nll-every", type=int, default=TrainConfig.nll_every)
-    tr.add_argument("--seed", type=_seed, default=0)
+    tr.add_argument("--seed", type=seed_value, default=0)
     tr.add_argument("--out", default=".", help="output directory (default: current)")
 
     ev = sub.add_parser("eval", help="evaluate a model against assignment sets")
@@ -122,9 +122,9 @@ def _build_parser() -> _Parser:
     ev.add_argument("--theta", required=True)
     ev.add_argument("--preferred", required=True)
     ev.add_argument("--unseen", required=True)
-    ev.add_argument("--grad-m", type=_count, default=None,
+    ev.add_argument("--grad-m", type=positive_int, default=None,
                     help="also estimate gradient error with this many samples")
-    ev.add_argument("--seed", type=_seed, default=None,
+    ev.add_argument("--seed", type=seed_value, default=None,
                     help="seed of the --grad-m draws (default: 0)")
     ev.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -144,8 +144,7 @@ def _build_parser() -> _Parser:
 _READ_ONLY_BY = {
     "gen": {"k": (lambda o: o["family"] == "ksat", 5),
             "edge_prob": (lambda o: o["family"] == "sinkfree", 0.55)},
-    "sample": {"burn_in": (lambda o: o["sampler"] == "gibbs", SamplerConfig.gibbs_burn_in),
-               "thin": (lambda o: o["sampler"] == "gibbs", SamplerConfig.gibbs_thinning)},
+    "sample": {"burn_in": (lambda o: o["sampler"] == "gibbs", SamplerConfig.gibbs_burn_in)},
     "eval": {"seed": (lambda o: o["grad_m"] is not None, 0)},
 }
 
@@ -234,8 +233,8 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
     n = options["n"]
     cfg = SamplerConfig(batch_size=n, seed=options["seed"], t_tryout=options["tryout"])
     chunk = _CHUNK_ROWS
-    if kind == "gibbs":  # a Gibbs chain is one sequence, so it runs as a single call
-        cfg = replace(cfg, gibbs_burn_in=options["burn_in"], gibbs_thinning=options["thin"])
+    if kind == "gibbs":  # one call: its chains start from one draw_valid_rows batch
+        cfg = replace(cfg, gibbs_burn_in=options["burn_in"])
         chunk = n
     rounds = np.empty(n, dtype=np.int64)
     tally = np.zeros(cs.n_constraints, dtype=np.int64)

@@ -9,10 +9,13 @@ rows are distributed according to the constrained model.
   draws from the constrained distribution.
 * moser_tardos_sample: identical, except each round redraws the variables of
   a single violated constraint (the lowest-indexed one).
-* gibbs_sample: single-site conditional-resampling chain with burn-in and
-  thinning. It starts from a valid assignment and every update keeps it
-  valid, so the current value of a site is always a feasible choice.
+* gibbs_sample: batch_size independent single-site conditional-resampling
+  chains, each run for a burn-in and emitting its final state. Each starts
+  from a valid assignment and every update keeps it valid, so the current
+  value of a site is always a feasible choice.
 
+All three run on batches packed 64 rows to a word (rng.WORD) and read the
+constraints through one kernel of literal codes (_ConstraintKernel).
 SAMPLERS names them nelson, moser and gibbs. draw_valid_rows collects a
 fixed number of valid rows from any of them, redrawing tryout-exhausted
 batches with derived seeds.
@@ -24,7 +27,7 @@ bit-identical and every run is reproducible from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -32,7 +35,7 @@ import numpy as np
 from .cnf import ConstraintSet, Literal
 from .model import ModelParams, marginals
 from .rng import (WORD, bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed,
-                  row_hashes, uniform_field)
+                  row_hashes)
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -45,7 +48,6 @@ class SamplerConfig:
     seed: int = 0
     t_tryout: int = 1000
     gibbs_burn_in: int = 1000
-    gibbs_thinning: int = 10
     row_offset: int = 0     # first global row index; makes split batches reproducible
 
     def __post_init__(self):
@@ -53,8 +55,8 @@ class SamplerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.t_tryout < 1:
             raise ValueError("t_tryout must be >= 1")
-        if self.gibbs_burn_in < 1 or self.gibbs_thinning < 1:
-            raise ValueError("gibbs_burn_in and gibbs_thinning must be >= 1")
+        if self.gibbs_burn_in < 1:
+            raise ValueError("gibbs_burn_in must be >= 1")
 
 
 @dataclass
@@ -161,11 +163,9 @@ class _ConstraintKernel:
         return self.var_slots.or_rows(V)
 
     @cached_property
-    def gibbs_levels(self) -> list[tuple[np.ndarray, ...]]:
-        """Plan of an index-order Gibbs sweep that updates a level at a time.
-
-        The chain is a vector of 2n + 1 cells: the values, their negations and
-        one constant False, so literal code c reads cell c, as in table().
+    def gibbs_levels(self) -> tuple[np.ndarray, list[tuple]]:
+        """Plan of an index-order Gibbs sweep that updates a level at a time,
+        on chains packed 64 to a word like the resamplers' table.
 
         A variable's level is one more than the highest level of any
         lower-indexed variable it shares a constraint with, or 0 if none. So
@@ -173,37 +173,55 @@ class _ConstraintKernel:
         sit in earlier levels and higher-indexed ones in later levels, and
         updating a whole level at once equals the site-by-site scan.
 
-        Each level is (members, lits, lo, hi). lits[k, d] holds the literal
-        codes of member k's d-th constraint, with the member's own literal
-        and the padding at the False cell. With the member at value v the
-        constraint holds exactly when the true-literal count over lits[k, d]
-        lies in [lo[v, k, d], hi[v, k, d]]; padding rows hold for every count.
+        Returns (order, levels). The sweep runs on a (2n + 2, words) table
+        with the variables relabelled level by level: row p holds variable
+        order[p], row n + p its negation, row 2n a zero word and row 2n + 1
+        an all-ones word, so each level is a slice [start, stop) of rows.
+        Each level is (start, stop, lits, group, depth): column
+        (v * depth + d) * size + k of lits, size = stop - start, lists the
+        rows of the other literals of the d-th constraint of member k that
+        can fail at value v, padded with the zero row; a member with fewer
+        than depth such constraints is padded with the all-ones row. A clause
+        whose own literal is true at v holds there, so it is left out of
+        that half; otherwise it holds where the OR of its other literals is
+        set. A group holds at v = 1 where no other member is set and at
+        v = 0 where exactly one is; `group` marks its columns with all ones,
+        and is None when the set has no groups.
         """
-        n, false = self.n, 2 * self.n
+        n, zero, ones = self.n, 2 * self.n, 2 * self.n + 1
         level = [-1] * n  # -1 until visited, so only lower-indexed neighbours count
         for i in range(n):
             level[i] = 1 + max((level[c % n] for j in self.containing[i] for c in self.codes[j]),
                                default=-1)
         level = np.array(level, dtype=np.intp)
-        out = []
-        for lv in range(level.max(initial=-1) + 1):
-            members = np.flatnonzero(level == lv)
-            cons = [self.containing[i] for i in members]
-            width = max((len(self.codes[j]) for row in cons for j in row), default=0)
-            lits = np.full((members.size, max(map(len, cons)), width), false, dtype=np.intp)
-            group = np.zeros(lits.shape[:2], dtype=bool)
-            for k, row in enumerate(cons):
-                for d, j in enumerate(row):
-                    lits[k, d, : len(self.codes[j])] = self.codes[j]
-                    group[k, d] = self.is_group[j]
-            own = members[:, None, None]
-            real = (lits != false).any(axis=-1)
-            negated = (lits == own + n).any(axis=-1)
-            lits[(lits == own) | (lits == own + n)] = false
-            lo = np.where(real, np.stack([~negated, negated]), 0)
-            hi = np.where(real & group, lo, width)
-            out.append((members, lits, lo, hi))
-        return out
+        order = np.argsort(level, kind="stable")
+        place = np.empty(n, dtype=np.intp)
+        place[order] = np.arange(n)
+        bounds = np.searchsorted(level[order], np.arange(level.max(initial=-1) + 2))
+        levels = []
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            # cells[v][k]: (other rows, is a group) per constraint of member k that can fail at v
+            cells = [[[] for _ in range(stop - start)] for _ in range(2)]
+            for k, i in enumerate(order[start:stop].tolist()):
+                for j in self.containing[i]:
+                    own = next(c for c in self.codes[j] if c % n == i)
+                    rows = [place[c % n] + n * (c >= n) for c in self.codes[j] if c != own]
+                    for v in (0, 1):
+                        if self.is_group[j] or (own >= n) == v:
+                            cells[v][k].append((rows, bool(self.is_group[j])))
+            depth = max(1, max(len(cell) for half in cells for cell in half))
+            columns = [cell[d] if d < len(cell) else ([ones], False)
+                       for half in cells for d in range(depth) for cell in half]
+            width = max(1, max(len(rows) for rows, _ in columns))
+            lits = np.full((width, len(columns)), zero, dtype=np.intp)
+            for k, (rows, _) in enumerate(columns):
+                lits[: len(rows), k] = rows
+            group = None
+            if self.has_groups:
+                group = np.zeros((len(columns), 1), dtype=WORD)
+                group[[g for _, g in columns]] = ~np.uint64(0)
+            levels.append((start, stop, lits, group, depth))
+        return order, levels
 
 
 @lru_cache(maxsize=8)
@@ -310,6 +328,15 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     return batch, SamplerStats(rounds_per_row=rounds, per_constraint_resamples=tally)
 
 
+def _pack_rows(rows: np.ndarray) -> np.ndarray:
+    """(n, words) packed values of (b, n) 0/1 rows, the inverse of
+    _unpack_rows; bits past row b are 0."""
+    b, n = rows.shape
+    words = np.zeros((n, -(-b // 64)), dtype=WORD)
+    words.view(np.uint8)[:, : -(-b // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
+    return words
+
+
 def _unpack_rows(words: np.ndarray, b: int) -> np.ndarray:
     """(b, n) uint8 rows of (n, words) packed values. The transpose is done on
     bytes, an eighth of the bits."""
@@ -340,67 +367,72 @@ def _check_shapes(cs: ConstraintSet, m: ModelParams) -> None:
 
 
 def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=None):
-    """Single-site Gibbs chain over the satisfying region.
+    """batch_size independent single-site Gibbs chains over the satisfying
+    region, packed 64 to a word.
 
     Each sweep visits every variable once, in index order, and redraws it
     from its conditional given the rest, with candidate values that would
-    violate a constraint getting zero weight. The chain starts from `init`
-    (which must satisfy all constraints) or the first valid row of a
-    _RETRY_BATCHES-row nelson_sample batch; every update keeps it valid,
-    so a site's current value is always feasible. It runs gibbs_burn_in
-    sweeps, then emits a row every gibbs_thinning sweeps until batch_size
-    rows are collected. Sweeps run level by level; see _ConstraintKernel.gibbs_levels.
+    violate a constraint getting zero weight: the new value is
+    ~ok0 | (ok1 & draw), with ok_v the chains in which value v keeps every
+    constraint of the variable. Every chain starts from `init` (which must
+    satisfy all constraints) or, without it, from its own row of
+    draw_valid_rows(nelson); every update keeps it valid, so a site's
+    current value is always feasible. Each chain runs gibbs_burn_in sweeps
+    and emits its final state. The draw of chain r (global row
+    row_offset + r) at sweep s is bernoulli_field(row_hashes(
+    fold_seed(seed, "gibbs-chain"), row_offset + r), s, ...), so with `init`
+    a batch equals its chains run one at a time. Sweeps run level by level;
+    see _ConstraintKernel.gibbs_levels.
     """
     _check_shapes(cs, m)
-    n = cs.n_vars
+    n, b = cs.n_vars, cfg.batch_size
     kernel = _kernel(cs)
     if init is None:
-        init_cfg = replace(cfg, batch_size=_RETRY_BATCHES, row_offset=0,
-                           seed=fold_seed(cfg.seed, "gibbs-init"))
-        starts, _ = nelson_sample(cs, m, init_cfg)
-        if not starts.valid_flags.any():
-            raise SamplerExhaustedError(
-                "no valid Gibbs initialization within t_tryout rounds"
-            )
-        x = starts.rows[np.argmax(starts.valid_flags)].astype(bool)
+        values = _pack_rows(draw_valid_rows(cs, m, "nelson", b, fold_seed(cfg.seed, "gibbs-init"),
+                                            t_tryout=cfg.t_tryout))
     else:
         x = np.asarray(init, dtype=np.uint8).reshape(-1).astype(bool)
         if x.shape[0] != n:
             raise ValueError("init length mismatch")
         if (kernel.violations(kernel.table(x.astype(WORD)[:, None])) & 1).any():
             raise ValueError("init must satisfy all constraints")
+        values = np.zeros((n, -(-b // 64)), dtype=WORD)
+        values[x] = ~np.uint64(0)
 
-    p_one = 1.0 - marginals(m)
-    xt = np.concatenate([x, ~x, [False]])  # the values, their negations, False
-    values, negations = xt[:n], xt[n:-1]
-    chain_seed = fold_seed(cfg.seed, "gibbs-chain")
-    total_sweeps = cfg.gibbs_burn_in + cfg.gibbs_thinning * cfg.batch_size
-    rows = np.empty((cfg.batch_size, n), dtype=np.uint8)
-    rounds = np.empty(cfg.batch_size, dtype=np.int64)
-    emitted = 0
-    sweep_chunk = 4096
-    for chunk_start in range(0, total_sweeps, sweep_chunk):
-        sweeps = np.arange(
-            chunk_start + 1, min(chunk_start + sweep_chunk, total_sweeps) + 1
-        )
-        draws_one = uniform_field(chain_seed, sweeps, 0, n) < p_one
-        for local, sweep in enumerate(sweeps):
-            for members, lits, lo, hi in kernel.gibbs_levels:
-                count = xt[lits].sum(axis=-1)
-                ok0, ok1 = ((lo <= count) & (count <= hi)).all(axis=-1)
-                values[members] = ~ok0 | (ok1 & draws_one[local, members])
-                # One pass over all n cells costs less than a second scatter.
-                np.logical_not(values, out=negations)
-            if sweep > cfg.gibbs_burn_in and (sweep - cfg.gibbs_burn_in) % cfg.gibbs_thinning == 0:
-                rows[emitted] = values
-                rounds[emitted] = sweep
-                emitted += 1
-    batch = AssignmentBatch(rows=rows, valid_flags=np.ones(cfg.batch_size, dtype=bool))
-    return batch, SamplerStats(rounds_per_row=rounds,
+    order, levels = kernel.gibbs_levels
+    table = np.zeros((2 * n + 2, values.shape[1]), dtype=WORD)
+    np.take(values, order, axis=0, out=table[:n])
+    np.invert(table[:n], out=table[n:2 * n])
+    table[-1] = ~np.uint64(0)
+    threshold = bernoulli_threshold(marginals(m))
+    row_hash = row_hashes(fold_seed(cfg.seed, "gibbs-chain"), cfg.row_offset + np.arange(b))
+    for sweep in range(1, cfg.gibbs_burn_in + 1):
+        draw = bernoulli_field(row_hash, sweep, threshold).take(order, axis=0)
+        for start, stop, lits, group, depth in levels:
+            other = table.take(lits, axis=0)
+            if group is None:
+                ok = np.bitwise_or.reduce(other, axis=0)
+            else:
+                ok, two = other[0].copy(), np.zeros_like(other[0])
+                for w in other[1:]:
+                    two |= ok & w
+                    ok |= w
+                half = ok.shape[0] // 2
+                ok[:half] &= ~(two[:half] & group[:half])
+                ok[half:] ^= group[half:]
+            ok = ok.reshape(2, depth, stop - start, -1)
+            ok = np.bitwise_and.reduce(ok, axis=1) if depth > 1 else ok[:, 0]
+            new = table[start:stop]
+            np.bitwise_and(ok[1], draw[start:stop], out=new)
+            new |= ~ok[0]
+            np.invert(new, out=table[n + start:n + stop])
+    values[order] = table[:n]
+    batch = AssignmentBatch(rows=_unpack_rows(values, b), valid_flags=np.ones(b, dtype=bool))
+    return batch, SamplerStats(rounds_per_row=np.full(b, cfg.gibbs_burn_in, dtype=np.int64),
                                per_constraint_resamples=np.zeros(cs.n_constraints, dtype=np.int64))
 
 
-_RETRY_BATCHES = 10  # batches draw_valid_rows tries; also the rows a Gibbs start draws
+_RETRY_BATCHES = 10  # batches draw_valid_rows tries
 
 SAMPLERS = {
     "nelson": nelson_sample,
@@ -421,7 +453,7 @@ def draw_valid_rows(
 
     Invalid (tryout-exhausted) rows are discarded and redrawn with a fresh
     derived seed, up to _RETRY_BATCHES batches; Gibbs runs with the
-    SamplerConfig burn-in and thinning.
+    SamplerConfig burn-in.
     """
     sampler = SAMPLERS[kind]
     collected = []

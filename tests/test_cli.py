@@ -151,14 +151,13 @@ class TestSample:
     @pytest.mark.parametrize("sampler", ["nelson", "moser"])
     def test_resampler_manifest_leaves_gibbs_flags_null(self, tmp_path, sampler):
         options = self._sample_options(tmp_path, sampler)
-        assert (options["burn_in"], options["thin"]) == (None, None)
+        assert options["burn_in"] is None and "thin" not in options
 
-    @pytest.mark.parametrize("extra, expected", [([], (1000, 10)),
-                                                 (["--burn-in", "20", "--thin", "2"], (20, 2))],
+    @pytest.mark.parametrize("extra, expected", [([], 1000), (["--burn-in", "20"], 20)],
                              ids=["default", "given"])
-    def test_gibbs_manifest_records_burn_in_and_thin(self, tmp_path, extra, expected):
+    def test_gibbs_manifest_records_burn_in(self, tmp_path, extra, expected):
         options = self._sample_options(tmp_path, "gibbs", *extra)
-        assert (options["burn_in"], options["thin"]) == expected
+        assert options["burn_in"] == expected and "thin" not in options
 
     def test_byte_identical_reruns(self, tmp_path):
         cnf, theta = _write_toy(tmp_path)
@@ -441,7 +440,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("sampler", ["nelson", "moser"])
-    @pytest.mark.parametrize("flag", ["--burn-in", "--thin"])
+    @pytest.mark.parametrize("flag", ["--burn-in"])
     def test_gibbs_flag_on_a_resampler_exits_1(self, tmp_path, capsys, sampler, flag):
         cnf, theta = _write_toy(tmp_path)
         out = tmp_path / "o"
@@ -488,6 +487,48 @@ class TestErrorPaths:
         assert run([*argv, flag, count, "--out", str(out)]) == EXIT_USAGE
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "UsageError" and flag in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["sample", "--sampler", "nelson", "--n", "5"], "--tryout"),
+        (["sample", "--sampler", "gibbs", "--n", "5"], "--tryout"),
+        (["sample", "--sampler", "gibbs", "--n", "5"], "--burn-in"),
+        (["train", "--data", "d"], "--tryout"),
+    ], ids=["sample-tryout", "gibbs-tryout", "gibbs-burn-in", "train-tryout"])
+    def test_round_budget_below_one_exits_1(self, tmp_path, capsys, argv, flag, count):
+        # Rejected while parsing, before manifest.json is written.
+        cnf, theta = _write_toy(tmp_path)
+        inputs = ["--cnf", str(cnf)] + (["--theta", str(theta)] if argv[0] == "sample" else [])
+        out = tmp_path / "o"
+        assert run([*argv, *inputs, flag, count, "--out", str(out)]) == EXIT_USAGE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "UsageError" and flag in error["message"]
+        assert not out.exists()
+
+    def test_thin_is_not_a_flag(self, tmp_path, capsys):
+        # Each Gibbs chain emits its final state, so there is nothing to thin.
+        cnf, theta = _write_toy(tmp_path)
+        out = tmp_path / "o"
+        code = run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "gibbs",
+                    "--n", "5", "--thin", "2", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--thin" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["sample", "--cnf", "c", "--theta", "t", "--sampler", "nelson"], "--n", "positive_int"),
+        (["sample", "--cnf", "c", "--theta", "t", "--sampler", "nelson", "--n", "5"], "--seed",
+         "seed_value"),
+        (["sample", "--cnf", "c", "--theta", "t", "--sampler", "gibbs", "--n", "5"], "--burn-in",
+         "positive_int"),
+        (["train", "--cnf", "c", "--data", "d"], "--tryout", "positive_int"),
+    ], ids=["n", "seed", "burn-in", "tryout"])
+    def test_non_integer_names_a_public_type(self, tmp_path, capsys, argv, flag, kind):
+        out = tmp_path / "o"
+        assert run([*argv, flag, "x", "--out", str(out)]) == EXIT_USAGE
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == f"argument {flag}: invalid {kind} value: 'x'"
         assert not out.exists()
 
     def test_largest_seed_is_accepted(self, tmp_path):

@@ -87,7 +87,7 @@ def _toy_records():
 
 def _gibbs_chain():
     cs, m = _sinkfree()
-    cfg = SamplerConfig(batch_size=20, seed=5, gibbs_burn_in=20, gibbs_thinning=2)
+    cfg = SamplerConfig(batch_size=20, seed=5, gibbs_burn_in=20)
     return _run_digest(*gibbs_sample(cs, m, cfg))
 
 
@@ -101,7 +101,7 @@ def _gibbs_mixed_chain():
         exactly_one_groups=(frozenset({0, 1, 2}), frozenset({5, 6}), frozenset({9})),
     )
     m = ModelParams(np.linspace(-1.0, 1.0, cs.n_vars))
-    cfg = SamplerConfig(batch_size=50, seed=7, gibbs_burn_in=10, gibbs_thinning=3)
+    cfg = SamplerConfig(batch_size=50, seed=7, gibbs_burn_in=10)
     batch, stats = gibbs_sample(cs, m, cfg)
     assert len(np.unique(batch.rows, axis=0)) > 1
     return _run_digest(batch, stats)
@@ -200,7 +200,7 @@ CLI_CASES = {
     "nelson_routes": _cli_routes("nelson"),  # 139 of 300 rows INVALID
     # A short tryout, so that moser also leaves INVALID rows (138 of 300).
     "moser_routes": _cli_routes("moser", "--tryout", "100"),
-    "gibbs_sinkfree": _cli_sinkfree("gibbs", 20, "--burn-in", "20", "--thin", "2"),
+    "gibbs_sinkfree": _cli_sinkfree("gibbs", 20, "--burn-in", "20"),
 }
 
 CLI_GOLDEN = {

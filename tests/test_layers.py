@@ -99,6 +99,6 @@ def test_rng_is_one_stateless_chain():
 
 def test_sampler_settings_and_stats_are_pinned():
     assert [f.name for f in fields(SamplerConfig)] == [
-        "batch_size", "seed", "t_tryout", "gibbs_burn_in", "gibbs_thinning", "row_offset"]
+        "batch_size", "seed", "t_tryout", "gibbs_burn_in", "row_offset"]
     assert [f.name for f in fields(SamplerStats)] == [
         "rounds_per_row", "per_constraint_resamples"]

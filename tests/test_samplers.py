@@ -27,6 +27,7 @@ from cmrf.samplers import (
     SamplerExhaustedError,
     _ConstraintKernel,
     _unpack_rows,
+    draw_valid_rows,
     gibbs_sample,
     moser_tardos_sample,
     nelson_sample,
@@ -210,8 +211,7 @@ def test_kernel_is_built_once_per_constraint_set(monkeypatch):
         nelson_sample(cs, m, SamplerConfig(batch_size=50, seed=seed))
     moser_tardos_sample(cs, m, SamplerConfig(batch_size=50))
     assert not plans  # the resamplers never build the Gibbs plan
-    chains = [gibbs_sample(cs, m, SamplerConfig(batch_size=5, seed=seed, gibbs_burn_in=2,
-                                                gibbs_thinning=1))[0].rows
+    chains = [gibbs_sample(cs, m, SamplerConfig(batch_size=5, seed=seed, gibbs_burn_in=2))[0].rows
               for seed in (1, 2, 1)]
     assert builds == [cs] and len(plans) == 1
     # A chain leaves the shared plan as it found it.
@@ -242,27 +242,23 @@ def gibbs_chains(draw):
     return cs, theta, x0, draw(st.integers(0, 2**32))
 
 
-def _site_by_site_gibbs(cs, m, cfg, x0):
-    """The chain gibbs_sample must reproduce: visit sites in index order and
-    test both values of each against the reference evaluator."""
+def _site_by_site_gibbs(cs, m, seed, row, burn_in, x0):
+    """The chain gibbs_sample must reproduce for global row `row`: visit sites
+    in index order, test both values of each against the reference
+    evaluator, and draw a 1 where the chain's uniform exceeds p_zero."""
     n = cs.n_vars
-    total = cfg.gibbs_burn_in + cfg.gibbs_thinning * cfg.batch_size
-    U = uniform_field(fold_seed(cfg.seed, "gibbs-chain"), np.arange(1, total + 1), 0, n)
+    chain_seed = fold_seed(seed, "gibbs-chain")
     p_zero = marginals(m)
     x = x0.copy()
-    rows, rounds = [], []
-    for sweep in range(1, total + 1):
+    for sweep in range(1, burn_in + 1):
+        U = uniform_field(chain_seed, [row], sweep, n)[0]
         for i in range(n):
             both = np.repeat(x[None], 2, axis=0)
             both[:, i] = (0, 1)
             ok0, ok1 = ~violation_matrix(cs, both).any(axis=1)
             assert (ok0, ok1)[x[i]]  # the current value is always feasible
-            p_one = 1.0 - p_zero[i] if ok0 and ok1 else float(ok1)
-            x[i] = U[sweep - 1, i] < p_one
-        if sweep > cfg.gibbs_burn_in and (sweep - cfg.gibbs_burn_in) % cfg.gibbs_thinning == 0:
-            rows.append(x.copy())
-            rounds.append(sweep)
-    return np.array(rows, dtype=np.uint8), np.array(rounds, dtype=np.int64)
+            x[i] = ok1 and (not ok0 or U[i] > p_zero[i])
+    return x
 
 
 @given(gibbs_chains())
@@ -296,11 +292,26 @@ def _site_by_site_gibbs(cs, m, cfg, x0):
 def test_gibbs_matches_site_by_site_scan(case):
     cs, theta, x0, seed = case
     m = ModelParams(np.asarray(theta))
-    cfg = SamplerConfig(batch_size=6, seed=seed, gibbs_burn_in=3, gibbs_thinning=2)
+    cfg = SamplerConfig(batch_size=6, seed=seed, gibbs_burn_in=3, row_offset=seed % 100)
     batch, stats = gibbs_sample(cs, m, cfg, init=x0)
-    rows, rounds = _site_by_site_gibbs(cs, m, cfg, x0)
-    assert np.array_equal(batch.rows, rows)
-    assert np.array_equal(stats.rounds_per_row, rounds)
+    rows = [_site_by_site_gibbs(cs, m, seed, cfg.row_offset + r, 3, x0) for r in range(6)]
+    assert np.array_equal(batch.rows, np.array(rows, dtype=np.uint8))
+    assert batch.valid_flags.all() and (stats.rounds_per_row == 3).all()
+
+
+def test_gibbs_batch_equals_single_chains():
+    # 130 chains fill two words and part of a third.
+    from cmrf.problems import gen_sinkfree
+
+    cs = gen_sinkfree(6, 0.6, seed=2).constraints
+    m = ModelParams(np.linspace(-1.0, 1.0, cs.n_vars))
+    x0 = nelson_sample(cs, m, SamplerConfig(batch_size=1, seed=3))[0].rows[0]
+    cfg = SamplerConfig(batch_size=130, seed=11, gibbs_burn_in=4)
+    batch, _ = gibbs_sample(cs, m, cfg, init=x0)
+    singles = [gibbs_sample(cs, m, replace(cfg, batch_size=1, row_offset=r), init=x0)[0].rows[0]
+               for r in range(130)]
+    assert np.array_equal(batch.rows, np.array(singles))
+    assert len(np.unique(batch.rows, axis=0)) > 1
 
 
 class TestMoserTardos:
@@ -447,21 +458,21 @@ class TestExpectedResampleCounts:
 class TestGibbs:
     def test_unconstrained_uniform(self):
         cs = ConstraintSet(n_vars=3)
-        cfg = SamplerConfig(batch_size=30_000, seed=3, gibbs_burn_in=100, gibbs_thinning=1)
+        cfg = SamplerConfig(batch_size=30_000, seed=3, gibbs_burn_in=100)
         batch, _ = gibbs_sample(cs, uniform(3), cfg)
         table = empirical_table(batch.rows)
         exact = {format(i, "03b"): 1 / 8 for i in range(8)}
         assert tv_distance(table, exact) <= 0.03
 
     def test_toy_close_to_exact(self, toy_cs, toy_uniform):
-        cfg = SamplerConfig(batch_size=100_000, seed=19, gibbs_burn_in=1000, gibbs_thinning=1)
+        cfg = SamplerConfig(batch_size=100_000, seed=19, gibbs_burn_in=1000)
         batch, stats = gibbs_sample(toy_cs, toy_uniform, cfg)
         exact = exact_distribution(toy_cs, toy_uniform).prob_table()
         assert tv_distance(empirical_table(batch.rows), exact) <= 0.05
-        assert stats.rounds_per_row[0] == 1001
+        assert (stats.rounds_per_row == 1000).all()
 
     def test_chain_stays_valid(self, toy_cs, toy_uniform):
-        cfg = SamplerConfig(batch_size=500, seed=7, gibbs_burn_in=10, gibbs_thinning=2)
+        cfg = SamplerConfig(batch_size=500, seed=7, gibbs_burn_in=10)
         batch, _ = gibbs_sample(toy_cs, toy_uniform, cfg)
         assert satisfies_all(toy_cs, batch.rows).all()
 
@@ -475,7 +486,7 @@ class TestGibbs:
             )
 
     def test_valid_init_used(self, toy_cs, toy_uniform):
-        cfg = SamplerConfig(batch_size=8, seed=0, gibbs_burn_in=1, gibbs_thinning=1)
+        cfg = SamplerConfig(batch_size=8, seed=0, gibbs_burn_in=1)
         batch, _ = gibbs_sample(toy_cs, toy_uniform, cfg, init=np.array([0, 1, 1]))
         assert satisfies_all(toy_cs, batch.rows).all()
 
@@ -486,37 +497,40 @@ class TestGibbs:
             gibbs_sample(cs, uniform(1), cfg)
 
     def test_deterministic(self, toy_cs, toy_uniform):
-        cfg = SamplerConfig(batch_size=50, seed=21, gibbs_burn_in=20, gibbs_thinning=3)
+        cfg = SamplerConfig(batch_size=50, seed=21, gibbs_burn_in=20)
         b1, _ = gibbs_sample(toy_cs, toy_uniform, cfg)
         b2, _ = gibbs_sample(toy_cs, toy_uniform, cfg)
         assert np.array_equal(b1.rows, b2.rows)
 
     def test_single_site_chain_freezes_on_route_groups(self):
         # flipping any one pair-selection variable breaks two exactly-one
-        # groups at once, so every single-site move is rejected: the chain
-        # legally but uselessly stays at its initialization
+        # groups at once, so every single-site move is rejected: each chain
+        # legally but uselessly stays at its own start
         from cmrf.problems import gen_routes
 
         inst = gen_routes(3, seed=1)
-        cs = inst.constraints
-        cfg = SamplerConfig(batch_size=5, seed=2, gibbs_burn_in=5, gibbs_thinning=2)
-        batch, _ = gibbs_sample(cs, uniform(cs.n_vars), cfg)
+        cs, m = inst.constraints, uniform(inst.constraints.n_vars)
+        cfg = SamplerConfig(batch_size=5, seed=2, gibbs_burn_in=5)
+        batch, _ = gibbs_sample(cs, m, cfg)
+        starts = draw_valid_rows(cs, m, "nelson", 5, seed=fold_seed(2, "gibbs-init"))
         assert satisfies_all(cs, batch.rows).all()
-        assert (batch.rows == batch.rows[0]).all()
+        assert np.array_equal(batch.rows, starts)
 
     def test_start_survives_an_exhausted_first_row(self):
-        # On routes(5) the first nelson row of the start batch exhausts
-        # t_tryout at 17 of seeds 0-39, these four among them; a later row
-        # of the batch serves. Each seed costs two 1000-round runs.
+        # The starts are draw_valid_rows rows: where the first start batch
+        # leaves a row that exhausts t_tryout, a redrawn batch serves. On
+        # routes(5) the one-row first batch exhausts at 19 of seeds 0-39,
+        # these four among them.
         from cmrf.problems import gen_routes, instance_theta
 
         inst = gen_routes(5)
         cs, theta = inst.constraints, instance_theta(inst)
-        for seed in (5, 6, 7, 8):
-            first_cfg = SamplerConfig(batch_size=1, seed=fold_seed(seed, "gibbs-init"))
+        for seed in (0, 5, 9, 10):
+            first_cfg = SamplerConfig(batch_size=1,
+                                      seed=fold_seed(fold_seed(seed, "gibbs-init"), "draw", 0))
             first, _ = nelson_sample(cs, theta, first_cfg)
             assert not first.valid_flags[0], seed
-            cfg = SamplerConfig(batch_size=1, seed=seed, gibbs_burn_in=1, gibbs_thinning=1)
+            cfg = SamplerConfig(batch_size=1, seed=seed, gibbs_burn_in=1)
             batch, _ = gibbs_sample(cs, theta, cfg)
             assert satisfies_all(cs, batch.rows).all(), seed
 
