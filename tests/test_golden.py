@@ -138,8 +138,8 @@ GOLDEN = {
     "nelson_routes": "01e39064095e692c9a8d2ef630cf8e945b049de9d4b5afece7d1c7bd390e174b",
     "moser_routes": "58116693d263375951a57c4a6a7946f272d283fb6e278d38547f9d824411d0eb",
     "nelson_toy_records": "d5f9620c67e5994d6761dda13238c76851bb7664b3bed91fd733239b8b8ac4bf",
-    "gibbs_sinkfree": "6ab3af434f266a062f5e83ec6ad5bad60492a102ecae93d5663ddca2c8ff3a76",
-    "gibbs_mixed": "98afa04101681a58b1cce27db24f9ab6fd8aaadf1aed72cd857539c85eef3339",
+    "gibbs_sinkfree": "68ae392155329005a5ae323fde50b6698357a0dacd4d642ea8923958e29b54bf",
+    "gibbs_mixed": "e49d9bf3d31cb7b60dbf86135b3a91867a0279f0514ea944c0599c22068c71e2",
     "train_nelson": "62fe4c1a36e8857e6b8e88ff297735b90aca7055ea70d1c606756f480189c32b",
 }
 
@@ -220,9 +220,9 @@ CLI_GOLDEN = {
         "histogram.csv": "f79e8b1b45b304fabc4e274fac52b7b1d95b852948caca0f7e0242ad548df9b1",
     },
     "gibbs_sinkfree": {
-        "samples.txt": "d743d316ea257e44b6381031f17e7ceb757210c36cd803861653633eb69a1efa",
-        "stats.json": "354f22981ed764d90f24f1c50d5c371c70f5e80db5e3099899377471db7854cc",
-        "histogram.csv": "2a037dfdb2f8675c1f17843dc47b352cade25d27fa95eefb2c8f290d10e29191",
+        "samples.txt": "7454228ae392faaf900867c5c2136b8751d06618cb9dd0e7130797db981df6e4",
+        "stats.json": "d5f17e02a0eedf32372b890546d8eb16d4ca74009c5d5d9e634a9c55bc28e0aa",
+        "histogram.csv": "b60cf5ea37d76845a3673e551ebcf51d8a2714b456730d5c8d5eed5ce26824de",
     },
 }
 
