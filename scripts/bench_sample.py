@@ -11,7 +11,7 @@ gen_ksat(N, N, 3, seed=1) with zero weights (what `cmrf gen --family ksat
 its exactly-one groups and instance weights. Each run reports `wall_s`,
 `peak_rss_mb`, `exhausted` (INVALID rows), `valid_share` (valid rows / N),
 `valid_rows_per_s` (valid rows / wall_s) and `mean_rounds` (mean of the
-rounds in stats.json; for gibbs the sweep at which each row was emitted).
+rounds in stats.json; for gibbs the burn-in, after which each chain emits).
 `--burn-in N` is passed to `cmrf sample` for gibbs runs only, and a gibbs
 run records it as `burn_in` (null: the CLI default).
 The results, with the git revision of --src, the numpy version and the CPU
