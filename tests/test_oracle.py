@@ -166,15 +166,3 @@ def test_empirical_table_counts():
     rows = np.array([[0, 1], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     table = empirical_table(rows)
     assert table == {"01": 0.5, "10": 0.25, "11": 0.25}
-
-
-@pytest.mark.parametrize("n", [1, 3, 8, 9, 11, 16, 17, 24])
-@pytest.mark.parametrize("count", [1, 7, 5000])
-def test_empirical_table_bincount_equals_sort(monkeypatch, n, count):
-    # Skewed bits, so that some rows repeat at every width.
-    rows = (np.random.default_rng(n * 100 + count).random((count, n)) < 0.2).astype(np.uint8)
-    counted = empirical_table(rows)
-    monkeypatch.setattr(oracle, "_BINCOUNT_BITS", 0)
-    sorted_table = empirical_table(rows)
-    assert list(counted.items()) == list(sorted_table.items())
-    assert list(counted) == sorted(counted) and sum(counted.values()) == pytest.approx(1.0)
