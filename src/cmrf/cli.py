@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import Dataset, DimacsError, encode_rows, load_constraints
+from .cnf import Dataset, DimacsError, encode_words, load_constraints
 from .learn import TrainConfig, save_trace_csv, train
 from .metrics import grad_error, map_at_10, resample_stats, save_histogram_csv
 from .model import ModelParams, load_model, save_model
@@ -62,13 +62,29 @@ def seed_value(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    """A count that must be at least 1: rows (--n, --grad-m), rounds
-    (--tryout) or sweeps (--burn-in). argparse names this function in the
-    message for a value that is not an integer."""
+    """A count that must be at least 1: rows (--n, --grad-m, --m), rounds
+    (--tryout), sweeps (--burn-in) or iterations (--nll-every). argparse
+    names this function in the message for a value that is not an integer."""
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
     return count
+
+
+def nonnegative_int(text: str) -> int:
+    """A count that may be 0: training iterations (--iters)."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
+
+
+def positive_float(text: str) -> float:
+    """A value that must be above 0: the learning rate (--eta)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
 
 
 @dataclass
@@ -107,12 +123,12 @@ def _build_parser() -> _Parser:
     tr.add_argument("--cnf", required=True)
     tr.add_argument("--groups", default=None)
     tr.add_argument("--data", required=True)
-    tr.add_argument("--m", type=int, default=TrainConfig.m)
-    tr.add_argument("--eta", type=float, default=TrainConfig.eta)
-    tr.add_argument("--iters", type=int, default=TrainConfig.t_max)
+    tr.add_argument("--m", type=positive_int, default=TrainConfig.m)
+    tr.add_argument("--eta", type=positive_float, default=TrainConfig.eta)
+    tr.add_argument("--iters", type=nonnegative_int, default=TrainConfig.t_max)
     tr.add_argument("--sampler", default=TrainConfig.sampler_kind, choices=sorted(SAMPLERS))
     tr.add_argument("--tryout", type=positive_int, default=SamplerConfig.t_tryout)
-    tr.add_argument("--nll-every", type=int, default=TrainConfig.nll_every)
+    tr.add_argument("--nll-every", type=positive_int, default=TrainConfig.nll_every)
     tr.add_argument("--seed", type=seed_value, default=0)
     tr.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -208,7 +224,8 @@ def _run_gen(plan: RunPlan, outdir: Path) -> int:
 
 
 # Rows per sampler call and per write in `sample`. Memory follows this, not
-# --n: a split batch matches the whole batch bit for bit (row_offset).
+# --n, except in the one Gibbs call: a split batch matches the whole batch
+# bit for bit (row_offset).
 _CHUNK_ROWS = 4096
 
 
@@ -244,7 +261,10 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
             size = min(chunk, n - start)
             batch, stats = SAMPLERS[kind](
                 cs, theta, replace(cfg, batch_size=size, row_offset=start))
-            fh.write(encode_rows(batch.rows, batch.valid_flags))
+            step = -(-_CHUNK_ROWS // 64)  # words per write; the rows are never unpacked
+            for col in range(0, batch.words.shape[1], step):
+                valid = batch.valid_flags[64 * col:64 * (col + step)]
+                fh.write(encode_words(batch.words[:, col:col + step], valid.size, valid))
             rounds[start:start + size] = stats.rounds_per_row
             tally += stats.per_constraint_resamples
             exhausted += size - int(np.count_nonzero(batch.valid_flags))

@@ -1,7 +1,7 @@
 """Constraint sets over Boolean variables: CNF clauses plus exactly-one groups.
 
-Holds the DIMACS parser/serializer, the assignment-row text codec and the
-`Dataset` of assignment rows, reference constraint evaluation, the
+Holds the DIMACS parser/serializer, the codec of assignment rows (packed 64
+to a word, and as text) and the `Dataset` of assignment rows, reference constraint evaluation, the
 dependency graph over constraints, and the extremality check that decides
 whether the partial-rejection sampler is exact on a given instance; that
 check decides each adjacent pair of constraints in closed form, without
@@ -232,22 +232,61 @@ def satisfies_all(cs: ConstraintSet, X: np.ndarray) -> np.ndarray:
     return ~violation_matrix(cs, X).any(axis=1)
 
 
-_INVALID_LINE_END = np.frombuffer(b" INVALID\n", dtype=np.uint8)
+# The packed layout of a batch: bit j of word w of a variable holds row
+# 64w + j, so a word holds 64 rows of one variable.
+WORD = np.dtype("<u8")
+
+# Byte x (8 rows of one variable) -> its 8 ASCII digits, row 0 first in memory.
+_DIGITS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+           + np.uint8(ord("0"))).view(WORD).reshape(256)
+_INVALID = np.frombuffer(b" INVALID", dtype=np.uint8)
+
+
+def pack_rows(rows) -> np.ndarray:
+    """(n, ceil(b / 64)) packed words of (b, n) 0/1 rows, the inverse of
+    unpack_rows; bits past row b are 0."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    b, n = rows.shape
+    words = np.zeros((n, -(-b // 64)), dtype=WORD)
+    words.view(np.uint8)[:, : -(-b // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
+    return words
+
+
+def unpack_rows(words: np.ndarray, b: int) -> np.ndarray:
+    """(b, n) uint8 rows of (n, words) packed values. The transpose is done on
+    bytes, an eighth of the bits."""
+    rows = np.ascontiguousarray(words.view(np.uint8).T)
+    return np.unpackbits(rows, axis=0, count=b, bitorder="little")
+
+
+def encode_words(words: np.ndarray, b: int, valid=None) -> np.ndarray:
+    """The text of the first b rows of (n, words) packed values as a uint8
+    array: each row's bits as ASCII digits, then ' INVALID' on rows whose
+    `valid` flag is False, then a newline. valid=None means every row is
+    valid.
+
+    Each byte of the words holds 8 rows of one variable, and _DIGITS turns
+    it into their 8 digits in one gather; a strided copy then puts the
+    digits of byte k in rows 8k..8k+7 of an (8 * bytes, n + 1) line buffer.
+    """
+    n, width = words.shape
+    digits = _DIGITS[np.ascontiguousarray(words.view(np.uint8).T)].view(np.uint8)
+    buf = np.empty((64 * width, n + 1), dtype=np.uint8)
+    buf[:, :n].reshape(8 * width, 8, n)[...] = digits.reshape(8 * width, n, 8).transpose(0, 2, 1)
+    buf[:, n] = ord("\n")
+    text = buf[:b].reshape(-1)
+    if valid is None:
+        return text
+    ends = np.flatnonzero(~np.asarray(valid, dtype=bool)) * (n + 1) + n
+    if not ends.size:  # np.insert copies through a boolean mask even when it inserts nothing
+        return text
+    return np.insert(text, ends.repeat(_INVALID.size), np.tile(_INVALID, ends.size))
 
 
 def encode_rows(rows, valid=None) -> bytes:
-    """Text lines for a (b, n) 0/1 matrix: the bits as ASCII digits, then
-    ' INVALID' on rows whose `valid` flag is False, then a newline.
-    valid=None means every row is valid."""
+    """encode_words of a (b, n) 0/1 matrix, as bytes."""
     rows = np.asarray(rows, dtype=np.uint8)
-    b, n = rows.shape
-    valid = np.ones(b, dtype=bool) if valid is None else valid
-    buf = np.empty((b, n + _INVALID_LINE_END.size), dtype=np.uint8)
-    np.add(rows, ord("0"), out=buf[:, :n])
-    buf[:, n:] = _INVALID_LINE_END
-    buf[valid, n] = ord("\n")
-    line_len = np.where(valid, n + 1, buf.shape[1])
-    return buf[np.arange(buf.shape[1]) < line_len[:, None]].tobytes()
+    return encode_words(pack_rows(rows), len(rows), valid).tobytes()
 
 
 def row_keys(rows) -> list[str]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cnf import WORD
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -108,11 +110,6 @@ def bernoulli_threshold(p) -> np.ndarray:
 # keep the hash buffers in cache; blocks of 16k and 256k cells built a
 # 4096 x 299 field slower (BENCH_masked_draws.json).
 _BLOCK_CELLS = 65_536
-
-# The word layout of bernoulli_field: bit j of word w of a variable is the
-# draw of row 64w + j, so a word holds 64 rows of one variable.
-WORD = np.dtype("<u8")
-
 
 def row_hashes(seed: int, rows) -> np.ndarray:
     """The hash of (seed, row) per row. bernoulli_field and bernoulli_cells

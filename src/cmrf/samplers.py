@@ -14,8 +14,9 @@ rows are distributed according to the constrained model.
   from a valid assignment and every update keeps it valid, so the current
   value of a site is always a feasible choice.
 
-All three run on batches packed 64 rows to a word (rng.WORD) and read the
-constraints through one kernel of literal codes (_ConstraintKernel).
+All three run on batches packed 64 rows to a word (cnf.WORD), return them
+packed, and read the constraints through one kernel of literal codes
+(_ConstraintKernel).
 SAMPLERS names them nelson, moser and gibbs. draw_valid_rows collects a
 fixed number of valid rows from any of them, redrawing tryout-exhausted
 batches with derived seeds.
@@ -32,10 +33,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cnf import ConstraintSet, Literal
+from .cnf import WORD, ConstraintSet, Literal
+from .cnf import pack_rows as _pack_rows
+from .cnf import unpack_rows as _unpack_rows
 from .model import ModelParams, marginals
-from .rng import (WORD, bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed,
-                  row_hashes)
+from .rng import bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed, row_hashes
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -61,8 +63,13 @@ class SamplerConfig:
 
 @dataclass
 class AssignmentBatch:
-    rows: np.ndarray          # (b, n) uint8
+    words: np.ndarray         # (n, ceil(b / 64)) packed rows, 64 to a word (cnf.WORD)
     valid_flags: np.ndarray   # (b,) bool; True only for rows satisfying all constraints
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(b, n) uint8 rows, unpacked on first use."""
+        return _unpack_rows(self.words, self.valid_flags.size)
 
 
 @dataclass
@@ -100,7 +107,7 @@ class _ConstraintKernel:
     (group literals are never negated), and containing[i] lists the
     constraints that hold variable i.
 
-    The resamplers check a batch packed 64 rows to a word (rng.WORD) in a
+    The resamplers check a batch packed 64 rows to a word (cnf.WORD) in a
     (2n, words) table: row v holds x_v and row n + v its negation. Over the
     literal words w of a constraint, `two |= one & w; one |= w` marks the
     rows where some literal holds and where two do; a constraint is violated
@@ -324,24 +331,8 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         rows = (np.concatenate(ids)[at >> 6] << 6) | (at & 63)
         rounds[rows] = np.repeat(check, [w.size for w in words])[at >> 6]
         valid[rows] = True
-    batch = AssignmentBatch(rows=_unpack_rows(values, b), valid_flags=valid)
+    batch = AssignmentBatch(words=values, valid_flags=valid)
     return batch, SamplerStats(rounds_per_row=rounds, per_constraint_resamples=tally)
-
-
-def _pack_rows(rows: np.ndarray) -> np.ndarray:
-    """(n, words) packed values of (b, n) 0/1 rows, the inverse of
-    _unpack_rows; bits past row b are 0."""
-    b, n = rows.shape
-    words = np.zeros((n, -(-b // 64)), dtype=WORD)
-    words.view(np.uint8)[:, : -(-b // 8)] = np.packbits(rows.T, axis=1, bitorder="little")
-    return words
-
-
-def _unpack_rows(words: np.ndarray, b: int) -> np.ndarray:
-    """(b, n) uint8 rows of (n, words) packed values. The transpose is done on
-    bytes, an eighth of the bits."""
-    rows = np.ascontiguousarray(words.view(np.uint8).T)
-    return np.unpackbits(rows, axis=0, count=b, bitorder="little")
 
 
 def nelson_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig):
@@ -427,7 +418,7 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
             new |= ~ok[0]
             np.invert(new, out=table[n + start:n + stop])
     values[order] = table[:n]
-    batch = AssignmentBatch(rows=_unpack_rows(values, b), valid_flags=np.ones(b, dtype=bool))
+    batch = AssignmentBatch(words=values, valid_flags=np.ones(b, dtype=bool))
     return batch, SamplerStats(rounds_per_row=np.full(b, cfg.gibbs_burn_in, dtype=np.int64),
                                per_constraint_resamples=np.zeros(cs.n_constraints, dtype=np.int64))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cmrf
-from cmrf import cli
+from cmrf import cli, cnf, samplers
 from cmrf.cli import (
     EXIT_CAP,
     EXIT_EXHAUSTED,
@@ -230,6 +230,29 @@ class TestSampleChunks:
                 "--n", "15", "--seed", "3"]
         lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
         assert len(lines) == 15 and stats["per_constraint"] == []
+
+    @pytest.mark.parametrize("sampler", ["nelson", "moser"])
+    def test_writes_from_words_without_unpacking(self, monkeypatch, tmp_path, sampler):
+        # INVALID rows on routes(5), in chunks of 130 rows: two full words
+        # and two rows of a third.
+        def refuse(*args):
+            raise AssertionError("rows were unpacked")
+
+        monkeypatch.setattr(cnf, "unpack_rows", refuse)
+        monkeypatch.setattr(samplers, "_unpack_rows", refuse)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 130)
+        inst = gen_routes(5)
+        save_instance(inst, tmp_path / "routes.cnf", tmp_path / "routes.json")
+        save_model(ModelParams(np.asarray(inst.metadata["theta"])), tmp_path / "theta.json")
+        out = tmp_path / "out"
+        assert run(["sample", "--cnf", str(tmp_path / "routes.cnf"),
+                    "--groups", str(tmp_path / "routes.json"),
+                    "--theta", str(tmp_path / "theta.json"), "--sampler", sampler,
+                    "--n", "300", "--tryout", "50", "--seed", "2", "--out", str(out)]) == 0
+        lines = (out / "samples.txt").read_text().splitlines()
+        stats = json.loads((out / "stats.json").read_text())
+        assert len(lines) == 300 and 0 < stats["exhausted"] < 300
+        assert sum(line.endswith(" INVALID") for line in lines) == stats["exhausted"]
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_zero_rows_exits_1_before_sampling(self, monkeypatch, tmp_path, chunk):
@@ -490,18 +513,26 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
-    @pytest.mark.parametrize("argv, flag", [
-        (["sample", "--sampler", "nelson", "--n", "5"], "--tryout"),
-        (["sample", "--sampler", "gibbs", "--n", "5"], "--tryout"),
-        (["sample", "--sampler", "gibbs", "--n", "5"], "--burn-in"),
-        (["train", "--data", "d"], "--tryout"),
-    ], ids=["sample-tryout", "gibbs-tryout", "gibbs-burn-in", "train-tryout"])
-    def test_round_budget_below_one_exits_1(self, tmp_path, capsys, argv, flag, count):
-        # Rejected while parsing, before manifest.json is written.
+    @pytest.mark.parametrize("argv, flag, least", [
+        (["sample", "--sampler", "nelson", "--n", "5"], "--tryout", 1),
+        (["sample", "--sampler", "gibbs", "--n", "5"], "--tryout", 1),
+        (["sample", "--sampler", "gibbs", "--n", "5"], "--burn-in", 1),
+        (["train", "--data", "d"], "--tryout", 1),
+        (["train", "--data", "d"], "--m", 1),
+        (["train", "--data", "d"], "--nll-every", 1),
+        (["train", "--data", "d"], "--iters", 0),
+        (["train", "--data", "d"], "--eta", 1),
+    ], ids=["sample-tryout", "gibbs-tryout", "gibbs-burn-in", "train-tryout", "train-m",
+            "train-nll-every", "train-iters", "train-eta"])
+    def test_round_budget_below_one_exits_1(self, tmp_path, capsys, argv, flag, least, count):
+        # Rejected while parsing, before manifest.json is written. The value
+        # is `count` shifted below the flag's least accepted value (--iters
+        # accepts 0, so it gets -1 and -3; --eta must be above 0).
         cnf, theta = _write_toy(tmp_path)
         inputs = ["--cnf", str(cnf)] + (["--theta", str(theta)] if argv[0] == "sample" else [])
         out = tmp_path / "o"
-        assert run([*argv, *inputs, flag, count, "--out", str(out)]) == EXIT_USAGE
+        value = str(int(count) + least - 1)
+        assert run([*argv, *inputs, flag, value, "--out", str(out)]) == EXIT_USAGE
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "UsageError" and flag in error["message"]
         assert not out.exists()

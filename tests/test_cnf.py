@@ -21,11 +21,14 @@ from cmrf.cnf import (
     clause,
     emit_dimacs,
     encode_rows,
+    encode_words,
     gamma,
     load_constraints,
+    pack_rows,
     parse_dimacs,
     row_keys,
     satisfies_all,
+    unpack_rows,
     violated_constraints,
     violation_matrix,
 )
@@ -372,6 +375,23 @@ class TestRowCodec:
                 path = Path(tmp) / "data.txt"
                 Dataset(kept, n_vars=kept.shape[1]).save(path)
                 assert np.array_equal(Dataset.load(path).assignments, kept)
+
+    @pytest.mark.parametrize("b", [0, 1, 63, 64, 65, 129, 4097])
+    @pytest.mark.parametrize("n", [0, 1, 8, 9, 299])
+    def test_word_edges_match_per_row_reference(self, b, n):
+        # Batches that end before, on and after a 64-row word, with every
+        # row valid, none, or a random mix.
+        rng = np.random.default_rng(1000 * b + n)
+        rows = rng.integers(0, 2, size=(b, n), dtype=np.uint8)
+        words = pack_rows(rows)
+        assert words.shape == (n, -(-b // 64))
+        assert np.array_equal(unpack_rows(words, b), rows)
+        keys = ["".join(map(str, row)) for row in rows.tolist()]
+        for valid in (np.ones(b, dtype=bool), np.zeros(b, dtype=bool), rng.random(b) < 0.5):
+            text = "".join(key + ("" if ok else " INVALID") + "\n" for key, ok in zip(keys, valid))
+            assert encode_words(words, b, valid).tobytes() == text.encode("ascii")
+            assert encode_rows(rows, valid) == text.encode("ascii")
+        assert encode_words(words, b).tobytes() == "".join(k + "\n" for k in keys).encode("ascii")
 
     @pytest.mark.parametrize("n", [64, 299])
     def test_empirical_table_on_wide_rows(self, n):

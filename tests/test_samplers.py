@@ -16,6 +16,7 @@ from cmrf.cnf import (
     clause,
     gamma,
     satisfies_all,
+    unpack_rows,
     violated_constraints,
     violation_matrix,
 )
@@ -399,6 +400,16 @@ class TestDeterminism:
             assert np.array_equal(stats.rounds_per_row, rounds[:b]), b
             assert np.array_equal(stats.per_constraint_resamples, tallies[:b].sum(axis=0)), b
             assert np.count_nonzero(batch.valid_flags) == valid[:b].sum()
+
+    @pytest.mark.parametrize("sampler", [nelson_sample, moser_tardos_sample, gibbs_sample])
+    def test_rows_unpack_the_returned_words(self, sampler):
+        # A batch is returned packed; its rows are unpacked on first use.
+        cs, m = _EDGE_SET, ModelParams([0.3, -0.5, 0.0, 1.0, -1.0])
+        batch, _ = sampler(cs, m, SamplerConfig(batch_size=130, seed=6, gibbs_burn_in=3))
+        assert batch.words.dtype == WORD and batch.words.shape == (cs.n_vars, 3)
+        assert "rows" not in vars(batch)
+        assert np.array_equal(batch.rows, unpack_rows(batch.words, 130))
+        assert batch.rows is batch.rows and batch.rows.shape == (130, cs.n_vars)
 
     def test_seed_changes_output(self, toy_cs, toy_uniform):
         b1, _ = nelson_sample(toy_cs, toy_uniform, SamplerConfig(batch_size=200, seed=1))
