@@ -1,11 +1,12 @@
 """Constraint sets over Boolean variables: CNF clauses plus exactly-one groups.
 
 Holds the DIMACS parser/serializer, the codec of assignment rows (packed 64
-to a word, and as text) and the `Dataset` of assignment rows, reference constraint evaluation, the
-dependency graph over constraints, and the extremality check that decides
-whether the partial-rejection sampler is exact on a given instance; that
-check decides each adjacent pair of constraints in closed form, without
-enumerating assignments. This module imports no other cmrf module.
+to a word, and as text) and the `Dataset` of assignment rows, reference
+constraint evaluation, the dependency graph over constraints, and the
+extremality check that decides whether the partial-rejection sampler is
+exact on a given instance; that check decides each adjacent pair of
+constraints in closed form, without enumerating assignments. This module
+imports no other cmrf module.
 
 Constraint indexing convention used everywhere in this package: clause j has
 constraint index j, and exactly-one group g has constraint index L + g where
@@ -285,7 +286,6 @@ def encode_words(words: np.ndarray, b: int, valid=None) -> np.ndarray:
 
 def encode_rows(rows, valid=None) -> bytes:
     """encode_words of a (b, n) 0/1 matrix, as bytes."""
-    rows = np.asarray(rows, dtype=np.uint8)
     return encode_words(pack_rows(rows), len(rows), valid).tobytes()
 
 

@@ -111,6 +111,7 @@ def bernoulli_threshold(p) -> np.ndarray:
 # 4096 x 299 field slower (BENCH_masked_draws.json).
 _BLOCK_CELLS = 65_536
 
+
 def row_hashes(seed: int, rows) -> np.ndarray:
     """The hash of (seed, row) per row. bernoulli_field and bernoulli_cells
     take these, so a caller that draws many rounds for the same rows hashes

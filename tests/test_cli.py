@@ -231,6 +231,15 @@ class TestSampleChunks:
         lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
         assert len(lines) == 15 and stats["per_constraint"] == []
 
+    def test_gibbs_writes_its_one_call_in_word_slices(self, monkeypatch, tmp_path):
+        # One Gibbs call of 150 chains, written 1 word (chunk 1 or 7) or 3
+        # words (chunk 10**6, one slice) at a time.
+        cnf, theta = _write_toy(tmp_path)
+        argv = ["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "gibbs",
+                "--n", "150", "--burn-in", "2", "--seed", "4"]
+        lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
+        assert len(lines) == 150 and stats["exhausted"] == 0
+
     @pytest.mark.parametrize("sampler", ["nelson", "moser"])
     def test_writes_from_words_without_unpacking(self, monkeypatch, tmp_path, sampler):
         # INVALID rows on routes(5), in chunks of 130 rows: two full words
