@@ -250,6 +250,7 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
     n = options["n"]
     cfg = SamplerConfig(batch_size=n, seed=options["seed"], t_tryout=options["tryout"])
     chunk = _CHUNK_ROWS
+    step = -(-_CHUNK_ROWS // 64)  # words per write; the rows are never unpacked
     if kind == "gibbs":  # one call: its chains start from one draw_valid_rows batch
         cfg = replace(cfg, gibbs_burn_in=options["burn_in"])
         chunk = n
@@ -261,7 +262,6 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
             size = min(chunk, n - start)
             batch, stats = SAMPLERS[kind](
                 cs, theta, replace(cfg, batch_size=size, row_offset=start))
-            step = -(-_CHUNK_ROWS // 64)  # words per write; the rows are never unpacked
             for col in range(0, batch.words.shape[1], step):
                 valid = batch.valid_flags[64 * col:64 * (col + step)]
                 fh.write(encode_words(batch.words[:, col:col + step], valid.size, valid))

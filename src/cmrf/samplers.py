@@ -33,9 +33,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cnf import WORD, ConstraintSet, Literal
-from .cnf import pack_rows as _pack_rows
-from .cnf import unpack_rows as _unpack_rows
+from .cnf import (WORD, ConstraintSet, Literal, pack_rows as _pack_rows,
+                  unpack_rows as _unpack_rows)
 from .model import ModelParams, marginals
 from .rng import bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed, row_hashes
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cmrf
-from cmrf import cli, cnf, samplers
+from cmrf import cli
 from cmrf.cli import (
     EXIT_CAP,
     EXIT_EXHAUSTED,
@@ -247,8 +247,8 @@ class TestSampleChunks:
         def refuse(*args):
             raise AssertionError("rows were unpacked")
 
-        monkeypatch.setattr(cnf, "unpack_rows", refuse)
-        monkeypatch.setattr(samplers, "_unpack_rows", refuse)
+        monkeypatch.setattr(cmrf.cnf, "unpack_rows", refuse)
+        monkeypatch.setattr(cmrf.samplers, "_unpack_rows", refuse)
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 130)
         inst = gen_routes(5)
         save_instance(inst, tmp_path / "routes.cnf", tmp_path / "routes.json")
