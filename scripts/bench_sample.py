@@ -10,8 +10,10 @@ gen_ksat(N, N, 3, seed=1) with zero weights (what `cmrf gen --family ksat
 --size N --k 3 --seed 1` writes), or `routes:C`, gen_routes(C, seed=0) with
 its exactly-one groups and instance weights. Each run reports `wall_s`,
 `peak_rss_mb`, `exhausted` (INVALID rows), `valid_share` (valid rows / N),
-`valid_rows_per_s` (valid rows / wall_s) and `mean_rounds` (mean of the
-rounds in stats.json; for gibbs the burn-in, after which each chain emits).
+`valid_rows_per_s` (valid rows / wall_s), `mean_rounds` (mean of the
+rounds in stats.json; for gibbs the burn-in, after which each chain emits)
+and `samples_sha256`, the digest of samples.txt, which shows whether two
+checkouts wrote the same rows.
 `--burn-in N` is passed to `cmrf sample` for gibbs runs only, and a gibbs
 run records it as `burn_in` (null: the CLI default).
 The results, with the git revision of --src, the numpy version and the CPU
@@ -43,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Runs inside the child: argv[1] is the work directory, argv[2] the row
 # count, argv[3] the instance, argv[4] the sampler, argv[5:] more CLI flags.
 _CHILD = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 from pathlib import Path
 import numpy as np
 from cmrf import cli
@@ -70,6 +72,7 @@ wall = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 stats_path = work / "out" / "stats.json"
 stats = json.loads(stats_path.read_text()) if stats_path.exists() else None
+samples_path = work / "out" / "samples.txt"
 valid = None if stats is None else int(n) - stats["exhausted"]
 print(json.dumps({
     "exit_code": code,
@@ -79,12 +82,14 @@ print(json.dumps({
     "valid_share": None if stats is None else valid / int(n),
     "valid_rows_per_s": None if stats is None else valid / wall,
     "mean_rounds": None if stats is None else float(np.mean(stats["rounds"])),
+    "samples_sha256": hashlib.sha256(samples_path.read_bytes()).hexdigest()
+    if samples_path.exists() else None,
     "numpy": np.__version__,
 }))
 """
 
 RUN_KEYS = ("exit_code", "wall_s", "peak_rss_mb", "exhausted", "valid_share",
-            "valid_rows_per_s", "mean_rounds")
+            "valid_rows_per_s", "mean_rounds", "samples_sha256")
 
 
 def _git_rev(src: Path) -> str | None:

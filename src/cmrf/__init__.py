@@ -40,6 +40,7 @@ from .samplers import (
     gibbs_sample,
     moser_tardos_sample,
     nelson_sample,
+    sample_stream,
 )
 from .tensors import ClauseTensors, encode_tensors, resample_mask, satisfaction_pass
 
@@ -83,6 +84,7 @@ __all__ = [
     "potential",
     "resample_mask",
     "resample_stats",
+    "sample_stream",
     "satisfaction_pass",
     "train",
     "tv_distance",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,8 @@ from .oracle import (
     expected_resamples,
 )
 from .problems import gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance
-from .samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError, SamplerStats
+from .samplers import (SAMPLERS, SamplerConfig, SamplerExhaustedError, SamplerStats,
+                       sample_stream)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,8 +64,9 @@ def seed_value(text: str) -> int:
 
 def positive_int(text: str) -> int:
     """A count that must be at least 1: rows (--n, --grad-m, --m), rounds
-    (--tryout), sweeps (--burn-in) or iterations (--nll-every). argparse
-    names this function in the message for a value that is not an integer."""
+    (--tryout), sweeps (--burn-in), iterations (--nll-every), an instance
+    size (--size) or a clause width (--k). argparse names this function in
+    the message for a value that is not an integer."""
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
@@ -87,6 +89,14 @@ def positive_float(text: str) -> float:
     return value
 
 
+def probability(text: str) -> float:
+    """A value in (0, 1]: the edge probability (--edge-prob)."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 @dataclass
 class RunPlan:
     command: str
@@ -99,10 +109,11 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate a benchmark instance")
     gen.add_argument("--family", required=True, choices=["ksat", "sinkfree", "routes"])
-    gen.add_argument("--size", required=True, type=int,
+    gen.add_argument("--size", required=True, type=positive_int,
                      help="variables (ksat), vertices (sinkfree), cities (routes)")
-    gen.add_argument("--k", type=int, default=None, help="clause width for ksat (default: 5)")
-    gen.add_argument("--edge-prob", type=float, default=None,
+    gen.add_argument("--k", type=positive_int, default=None,
+                     help="clause width for ksat (default: 5)")
+    gen.add_argument("--edge-prob", type=probability, default=None,
                      help="edge probability for sinkfree (default: 0.55)")
     gen.add_argument("--seed", type=seed_value, default=0)
     gen.add_argument("--out", default=".", help="output directory (default: current)")
@@ -224,8 +235,7 @@ def _run_gen(plan: RunPlan, outdir: Path) -> int:
 
 
 # Rows per sampler call and per write in `sample`. Memory follows this, not
-# --n, except in the one Gibbs call: a split batch matches the whole batch
-# bit for bit (row_offset).
+# --n: a split batch matches the whole batch bit for bit (row_offset).
 _CHUNK_ROWS = 4096
 
 
@@ -246,28 +256,22 @@ def _write_stats(path: Path, rounds: np.ndarray, tally: np.ndarray, exhausted: i
 def _run_sample(plan: RunPlan, outdir: Path) -> int:
     options = plan.options
     cs, theta = _load_inputs(options)
-    kind = options["sampler"]
     n = options["n"]
-    cfg = SamplerConfig(batch_size=n, seed=options["seed"], t_tryout=options["tryout"])
-    chunk = _CHUNK_ROWS
-    step = -(-_CHUNK_ROWS // 64)  # words per write; the rows are never unpacked
-    if kind == "gibbs":  # one call: its chains start from one draw_valid_rows batch
-        cfg = replace(cfg, gibbs_burn_in=options["burn_in"])
-        chunk = n
+    cfg = SamplerConfig(batch_size=min(n, _CHUNK_ROWS), seed=options["seed"],
+                        t_tryout=options["tryout"],
+                        gibbs_burn_in=options["burn_in"] or SamplerConfig.gibbs_burn_in)
     rounds = np.empty(n, dtype=np.int64)
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
     exhausted = 0
-    with open(outdir / "samples.txt", "wb") as fh:
-        for start in range(0, n, chunk):
-            size = min(chunk, n - start)
-            batch, stats = SAMPLERS[kind](
-                cs, theta, replace(cfg, batch_size=size, row_offset=start))
-            for col in range(0, batch.words.shape[1], step):
-                valid = batch.valid_flags[64 * col:64 * (col + step)]
-                fh.write(encode_words(batch.words[:, col:col + step], valid.size, valid))
+    start = 0
+    with open(outdir / "samples.txt", "wb") as fh:  # the rows are never unpacked
+        for batch, stats in sample_stream(cs, theta, options["sampler"], cfg, stop=n):
+            size = batch.valid_flags.size
+            fh.write(encode_words(batch.words, size, batch.valid_flags))
             rounds[start:start + size] = stats.rounds_per_row
             tally += stats.per_constraint_resamples
             exhausted += size - int(np.count_nonzero(batch.valid_flags))
+            start += size
     _write_stats(outdir / "stats.json", rounds, tally, exhausted)
     summary = resample_stats(SamplerStats(rounds, tally))
     save_histogram_csv(summary.histogram, outdir / "histogram.csv")

@@ -11,15 +11,16 @@ rows are distributed according to the constrained model.
   a single violated constraint (the lowest-indexed one).
 * gibbs_sample: batch_size independent single-site conditional-resampling
   chains, each run for a burn-in and emitting its final state. Each starts
-  from a valid assignment and every update keeps it valid, so the current
-  value of a site is always a feasible choice.
+  from its own valid assignment, passed in packed, and every update keeps it
+  valid, so the current value of a site is always a feasible choice.
 
 All three run on batches packed 64 rows to a word (cnf.WORD), return them
 packed, and read the constraints through one kernel of literal codes
 (_ConstraintKernel).
-SAMPLERS names them nelson, moser and gibbs. draw_valid_rows collects a
-fixed number of valid rows from any of them, redrawing tryout-exhausted
-batches with derived seeds.
+SAMPLERS names them nelson, moser and gibbs. sample_stream is the one way
+rows are drawn: any of them over rows 0, 1, 2, ... of one seed, a batch at
+a time, with the Gibbs starts taken from a nelson stream. draw_valid_rows
+takes the first valid rows of a stream.
 
 All randomness is counter-based (see rng): a draw for (row, round, variable)
 never depends on batch size or scheduling, so batched and sequential runs are
@@ -28,7 +29,7 @@ bit-identical and every run is reproducible from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -253,6 +254,14 @@ def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nonzero, bits, bits.view(bool).nonzero()[0]
 
 
+def _row_words(b: int) -> np.ndarray:
+    """(ceil(b / 64),) words with the bits of rows 0 .. b - 1 set."""
+    words = np.full(-(-b // 64), ~np.uint64(0), dtype=WORD)
+    if b % 64:
+        words[-1] = (1 << (b % 64)) - 1
+    return words
+
+
 def _columns(words: np.ndarray) -> np.ndarray:
     """Bit positions 64 * word + bit of the set bits of a 1-d uint64 array."""
     nonzero, _, at = _set_bits(words)
@@ -268,14 +277,12 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     kernel = _kernel(cs)
     n, b = cs.n_vars, cfg.batch_size
     threshold = bernoulli_threshold(marginals(m))
-    word_id = np.arange(-(-b // 64))
+    active = _row_words(b)
+    word_id = np.arange(active.size)
     row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * word_id.size, dtype=np.int64))
     values = bernoulli_field(row_hash[:b], 0, threshold)  # then keeps each dropped word
     table = kernel.table(values)
     X = table[:n]
-    active = np.full(word_id.size, ~np.uint64(0), dtype=WORD)
-    if b % 64:
-        active[-1] = (1 << (b % 64)) - 1
     finished = []  # (round, words, word_id): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
 
@@ -356,7 +363,7 @@ def _check_shapes(cs: ConstraintSet, m: ModelParams) -> None:
         raise ValueError(f"theta length {m.n} != n_vars {cs.n_vars}")
 
 
-def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=None):
+def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: np.ndarray):
     """batch_size independent single-site Gibbs chains over the satisfying
     region, packed 64 to a word.
 
@@ -364,34 +371,28 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
     from its conditional given the rest, with candidate values that would
     violate a constraint getting zero weight: the new value is
     ~ok0 | (ok1 & draw), with ok_v the chains in which value v keeps every
-    constraint of the variable. Every chain starts from `init` (which must
-    satisfy all constraints) or, without it, from its own row of
-    draw_valid_rows(nelson); every update keeps it valid, so a site's
-    current value is always feasible. Each chain runs gibbs_burn_in sweeps
-    and emits its final state. The draw of chain r (global row
-    row_offset + r) at sweep s is bernoulli_field(row_hashes(
-    fold_seed(seed, "gibbs-chain"), row_offset + r), s, ...), so with `init`
-    a batch equals its chains run one at a time. Sweeps run level by level;
-    see _ConstraintKernel.gibbs_levels.
+    constraint of the variable. Chain r starts from row r of `starts`,
+    (n, ceil(batch_size / 64)) packed words whose rows must all satisfy the
+    constraints; every update keeps a chain valid, so a site's current value
+    is always feasible. Each chain runs gibbs_burn_in sweeps and emits its
+    final state. The draw of chain r (global row row_offset + r) at sweep s
+    is bernoulli_field(row_hashes(fold_seed(seed, "gibbs-chain"),
+    row_offset + r), s, ...), so a batch equals its chains run one at a time.
+    Sweeps run level by level; see _ConstraintKernel.gibbs_levels.
+    sample_stream draws the starts.
     """
     _check_shapes(cs, m)
     n, b = cs.n_vars, cfg.batch_size
     kernel = _kernel(cs)
-    if init is None:
-        values = _pack_rows(draw_valid_rows(cs, m, "nelson", b, fold_seed(cfg.seed, "gibbs-init"),
-                                            t_tryout=cfg.t_tryout))
-    else:
-        x = np.asarray(init, dtype=np.uint8).reshape(-1).astype(bool)
-        if x.shape[0] != n:
-            raise ValueError("init length mismatch")
-        if (kernel.violations(kernel.table(x.astype(WORD)[:, None])) & 1).any():
-            raise ValueError("init must satisfy all constraints")
-        values = np.zeros((n, -(-b // 64)), dtype=WORD)
-        values[x] = ~np.uint64(0)
+    starts = np.asarray(starts, dtype=WORD)
+    if starts.shape != (n, -(-b // 64)):
+        raise ValueError(f"starts must be ({n}, {-(-b // 64)}) words, got {starts.shape}")
+    if (kernel.violations(kernel.table(starts)) & _row_words(b)).any():
+        raise ValueError("every start must satisfy all constraints")
 
     order, levels = kernel.gibbs_levels
-    table = np.zeros((2 * n + 2, values.shape[1]), dtype=WORD)
-    np.take(values, order, axis=0, out=table[:n])
+    table = np.zeros((2 * n + 2, starts.shape[1]), dtype=WORD)
+    np.take(starts, order, axis=0, out=table[:n])
     np.invert(table[:n], out=table[n:2 * n])
     table[-1] = ~np.uint64(0)
     threshold = bernoulli_threshold(marginals(m))
@@ -416,19 +417,69 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, init=Non
             np.bitwise_and(ok[1], draw[start:stop], out=new)
             new |= ~ok[0]
             np.invert(new, out=table[n + start:n + stop])
+    values = np.empty_like(starts)
     values[order] = table[:n]
     batch = AssignmentBatch(words=values, valid_flags=np.ones(b, dtype=bool))
     return batch, SamplerStats(rounds_per_row=np.full(b, cfg.gibbs_burn_in, dtype=np.int64),
                                per_constraint_resamples=np.zeros(cs.n_constraints, dtype=np.int64))
 
 
-_RETRY_BATCHES = 10  # batches draw_valid_rows tries
-
 SAMPLERS = {
     "nelson": nelson_sample,
     "moser": moser_tardos_sample,
     "gibbs": gibbs_sample,
 }
+
+
+def sample_stream(cs: ConstraintSet, m: ModelParams, kind: str, cfg: SamplerConfig,
+                  stop: int | None = None):
+    """(AssignmentBatch, SamplerStats) of the named sampler for rows
+    row_offset, row_offset + 1, ... of one seed, batch_size rows a batch.
+    The last batch ends short at `stop`; without `stop` the stream has no
+    end. A row's draws do not depend on the batch it lands in, so every
+    batch size gives the same rows.
+
+    The chains of a Gibbs batch start from the next valid rows, in row
+    order, of the nelson stream keyed fold_seed(fold_seed(seed,
+    "gibbs-init"), "draw", 0), counted from its row 0 whatever row_offset is.
+    """
+    sampler = SAMPLERS[kind]
+    starts = None
+    if kind == "gibbs":
+        starts = _valid_blocks(cs, m, "nelson", cfg.batch_size, fold_seed(cfg.seed, "gibbs-init"),
+                               cfg.t_tryout)
+    row = cfg.row_offset
+    while stop is None or row < stop:
+        size = cfg.batch_size if stop is None else min(cfg.batch_size, stop - row)
+        part = replace(cfg, batch_size=size, row_offset=row)
+        if starts is None:
+            yield sampler(cs, m, part)
+        else:  # a short last batch takes only its own rows of the block
+            yield sampler(cs, m, part, _pack_rows(next(starts)[:size]))
+        row += size
+
+
+_RETRY_BATCHES = 10  # stream batches in a row that may pass without completing a block
+
+
+def _valid_blocks(cs, m, kind, count, seed, t_tryout):
+    """Blocks of `count` valid rows, (count, n) uint8, in row order, from the
+    named sampler's stream keyed fold_seed(seed, "draw", 0) in batches of
+    `count` rows. Raises SamplerExhaustedError once _RETRY_BATCHES batches
+    pass without completing a block, so an unsatisfiable instance cannot
+    loop forever."""
+    cfg = SamplerConfig(batch_size=count, seed=fold_seed(seed, "draw", 0), t_tryout=t_tryout)
+    held = np.zeros((0, cs.n_vars), dtype=np.uint8)
+    idle = 0
+    for batch, _ in sample_stream(cs, m, kind, cfg):
+        held = np.concatenate([held, batch.rows[batch.valid_flags]])
+        idle += 1
+        if held.shape[0] >= count:  # held < 2 * count, so at most one block
+            yield held[:count]
+            held, idle = held[count:], 0
+        elif idle == _RETRY_BATCHES:
+            raise SamplerExhaustedError(f"{kind} produced only {held.shape[0]}/{count} valid "
+                                        f"rows in {_RETRY_BATCHES} batches")
 
 
 def draw_valid_rows(
@@ -439,28 +490,9 @@ def draw_valid_rows(
     seed: int,
     t_tryout: int = SamplerConfig.t_tryout,
 ) -> np.ndarray:
-    """Collect `count` valid assignments from the named sampler.
-
-    Invalid (tryout-exhausted) rows are discarded and redrawn with a fresh
-    derived seed, up to _RETRY_BATCHES batches; Gibbs runs with the
-    SamplerConfig burn-in.
+    """The first `count` valid rows, (count, n) uint8, of the named sampler's
+    stream (see _valid_blocks): tryout-exhausted rows are skipped and the
+    stream goes on past them, for up to _RETRY_BATCHES batches of `count`
+    rows. Gibbs runs with the SamplerConfig burn-in.
     """
-    sampler = SAMPLERS[kind]
-    collected = []
-    have = 0
-    for attempt in range(_RETRY_BATCHES):
-        cfg = SamplerConfig(
-            batch_size=count,
-            seed=fold_seed(seed, "draw", attempt),
-            t_tryout=t_tryout,
-        )
-        batch, _ = sampler(cs, m, cfg)
-        good = batch.rows[batch.valid_flags]
-        if good.shape[0] > 0:
-            collected.append(good)
-            have += good.shape[0]
-        if have >= count:
-            return np.concatenate(collected, axis=0)[:count]
-    raise SamplerExhaustedError(
-        f"{kind} produced only {have}/{count} valid rows in {_RETRY_BATCHES} batches"
-    )
+    return next(_valid_blocks(cs, m, kind, count, seed, t_tryout))

@@ -177,18 +177,18 @@ SAMPLE_FILES = ("samples.txt", "stats.json", "histogram.csv")
 
 
 class TestSampleChunks:
-    """`sample` split into chunks of 1 or 7 rows, with --n not a multiple of
-    either, writes the same bytes as one chunk larger than --n."""
+    """`sample` split into chunks of 1, 7 or 130 rows, with --n not a
+    multiple of any, writes the same bytes as one chunk larger than --n."""
 
     def _chunked_runs(self, monkeypatch, tmp_path, argv, expected_code=0):
         outputs = []
-        for chunk in (10**6, 1, 7):
+        for chunk in (10**6, 1, 7, 130):
             monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
             out = tmp_path / f"chunk-{chunk}"
             assert run([*argv, "--out", str(out)]) == expected_code
             outputs.append({name: (out / name).read_bytes() for name in SAMPLE_FILES})
-        assert outputs[1] == outputs[0]
-        assert outputs[2] == outputs[0]
+        for chunked in outputs[1:]:
+            assert chunked == outputs[0]
         # The streamed stats.json is exactly what json.dump writes for it.
         stats = json.loads(outputs[0]["stats.json"])
         assert outputs[0]["stats.json"].decode() == json.dumps(stats, sort_keys=True, indent=2) + "\n"
@@ -231,14 +231,30 @@ class TestSampleChunks:
         lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
         assert len(lines) == 15 and stats["per_constraint"] == []
 
-    def test_gibbs_writes_its_one_call_in_word_slices(self, monkeypatch, tmp_path):
-        # One Gibbs call of 150 chains, written 1 word (chunk 1 or 7) or 3
-        # words (chunk 10**6, one slice) at a time.
+    def test_gibbs_chunks_match_one_batch(self, monkeypatch, tmp_path):
+        # 150 chains in one batch, in batches of 1 or 7 chains, or in 130
+        # chains (crossing words) and a short last batch of 20.
         cnf, theta = _write_toy(tmp_path)
         argv = ["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "gibbs",
                 "--n", "150", "--burn-in", "2", "--seed", "4"]
         lines, stats = self._chunked_runs(monkeypatch, tmp_path, argv)
         assert len(lines) == 150 and stats["exhausted"] == 0
+
+    def test_gibbs_calls_stay_within_a_chunk(self, monkeypatch, tmp_path):
+        # Gibbs memory follows _CHUNK_ROWS, not --n.
+        sizes = []
+        gibbs = cmrf.samplers.SAMPLERS["gibbs"]
+
+        def recording(cs, m, cfg, *starts):
+            sizes.append(cfg.batch_size)
+            return gibbs(cs, m, cfg, *starts)
+
+        monkeypatch.setitem(cmrf.samplers.SAMPLERS, "gibbs", recording)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 64)
+        cnf, theta = _write_toy(tmp_path)
+        assert run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "gibbs",
+                    "--n", "150", "--burn-in", "2", "--out", str(tmp_path / "o")]) == 0
+        assert sizes == [64, 64, 22]
 
     @pytest.mark.parametrize("sampler", ["nelson", "moser"])
     def test_writes_from_words_without_unpacking(self, monkeypatch, tmp_path, sampler):
@@ -451,16 +467,19 @@ class TestErrorPaths:
         assert self._sample(tmp_path, text) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
-    @pytest.mark.parametrize("edge_prob", ["0", "-1"])
+    @pytest.mark.parametrize("edge_prob", ["0", "-1", "2"])
     def test_sinkfree_edge_prob_out_of_range_exits_1(self, tmp_path, capsys, edge_prob):
+        # Rejected while parsing, before manifest.json is written.
+        out = tmp_path / "o"
         code = run(["gen", "--family", "sinkfree", "--size", "4", "--edge-prob", edge_prob,
-                    "--out", str(tmp_path / "o")])
+                    "--out", str(out)])
         assert code == EXIT_USAGE
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ValueError" and "edge_prob" in error["message"]
+        assert error["type"] == "UsageError" and "--edge-prob" in error["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["gen", "--family", "routes", "--size", "3", "--edge-prob", "0", "--k", "99"],
+        ["gen", "--family", "routes", "--size", "3", "--edge-prob", "0.5", "--k", "99"],
         ["gen", "--family", "routes", "--size", "3", "--k", "3"],
         ["gen", "--family", "sinkfree", "--size", "4", "--k", "3"],
         ["gen", "--family", "ksat", "--size", "5", "--edge-prob", "0.5"],
@@ -531,14 +550,20 @@ class TestErrorPaths:
         (["train", "--data", "d"], "--nll-every", 1),
         (["train", "--data", "d"], "--iters", 0),
         (["train", "--data", "d"], "--eta", 1),
+        (["gen", "--family", "sinkfree"], "--size", 1),
+        (["gen", "--family", "ksat", "--size", "5"], "--k", 1),
+        (["gen", "--family", "sinkfree", "--size", "5"], "--edge-prob", 1),
     ], ids=["sample-tryout", "gibbs-tryout", "gibbs-burn-in", "train-tryout", "train-m",
-            "train-nll-every", "train-iters", "train-eta"])
+            "train-nll-every", "train-iters", "train-eta", "gen-size", "gen-k",
+            "gen-edge-prob"])
     def test_round_budget_below_one_exits_1(self, tmp_path, capsys, argv, flag, least, count):
         # Rejected while parsing, before manifest.json is written. The value
         # is `count` shifted below the flag's least accepted value (--iters
-        # accepts 0, so it gets -1 and -3; --eta must be above 0).
+        # accepts 0, so it gets -1 and -3; --eta and --edge-prob must be
+        # above 0).
         cnf, theta = _write_toy(tmp_path)
-        inputs = ["--cnf", str(cnf)] + (["--theta", str(theta)] if argv[0] == "sample" else [])
+        inputs = {"sample": ["--cnf", str(cnf), "--theta", str(theta)],
+                  "train": ["--cnf", str(cnf)], "gen": []}[argv[0]]
         out = tmp_path / "o"
         value = str(int(count) + least - 1)
         assert run([*argv, *inputs, flag, value, "--out", str(out)]) == EXIT_USAGE

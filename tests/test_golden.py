@@ -33,7 +33,7 @@ from cmrf.model import ModelParams, save_model
 from cmrf.oracle import exact_distribution
 from cmrf.problems import gen_ksat, gen_routes, gen_sinkfree, gen_training_set, save_instance
 from cmrf.rng import fold_seed
-from cmrf.samplers import SamplerConfig, gibbs_sample, moser_tardos_sample, nelson_sample
+from cmrf.samplers import SamplerConfig, moser_tardos_sample, nelson_sample, sample_stream
 
 import corpus
 
@@ -88,7 +88,7 @@ def _toy_records():
 def _gibbs_chain():
     cs, m = _sinkfree()
     cfg = SamplerConfig(batch_size=20, seed=5, gibbs_burn_in=20)
-    return _run_digest(*gibbs_sample(cs, m, cfg))
+    return _run_digest(*next(sample_stream(cs, m, "gibbs", cfg)))
 
 
 def _gibbs_mixed_chain():
@@ -102,7 +102,7 @@ def _gibbs_mixed_chain():
     )
     m = ModelParams(np.linspace(-1.0, 1.0, cs.n_vars))
     cfg = SamplerConfig(batch_size=50, seed=7, gibbs_burn_in=10)
-    batch, stats = gibbs_sample(cs, m, cfg)
+    batch, stats = next(sample_stream(cs, m, "gibbs", cfg))
     assert len(np.unique(batch.rows, axis=0)) > 1
     return _run_digest(batch, stats)
 

@@ -16,8 +16,9 @@ from cmrf.learn import (
 )
 from cmrf.model import ModelParams
 from cmrf.oracle import ExactDistribution, exact_distribution, exact_grad_log_partition
-from cmrf.problems import gen_training_set, ProblemInstance
-from cmrf.samplers import SAMPLERS, SamplerExhaustedError
+from cmrf.problems import gen_routes, gen_training_set, instance_theta, ProblemInstance
+from cmrf.rng import fold_seed
+from cmrf.samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError, nelson_sample
 
 
 class TestCdStep:
@@ -206,6 +207,23 @@ class TestDrawValidRows:
         rows = draw_valid_rows(cs, ModelParams(np.zeros(3)), "nelson", 200, seed=0, t_tryout=2)
         assert rows.shape == (200, 3)
         assert (rows == 1).all()
+
+    def test_retry_continues_the_stream(self):
+        # On routes(5) at a tryout of 200 the first batch of 5 rows holds
+        # invalid rows, so the draw reads on into the next batches of the
+        # same stream, in row order.
+        inst = gen_routes(5)
+        cs, theta = inst.constraints, instance_theta(inst)
+        count, key = 5, fold_seed(0, "draw", 0)
+        valid, offset = [], 0
+        while sum(len(rows) for rows in valid) < count:
+            cfg = SamplerConfig(batch_size=count, seed=key, t_tryout=200, row_offset=offset)
+            batch, _ = nelson_sample(cs, theta, cfg)
+            valid.append(batch.rows[batch.valid_flags])
+            offset += count
+        assert len(valid[0]) < count
+        rows = draw_valid_rows(cs, theta, "nelson", count, seed=0, t_tryout=200)
+        assert np.array_equal(rows, np.concatenate(valid)[:count])
 
     def test_exhaustion_raises(self):
         cs = ConstraintSet(n_vars=1, clauses=(clause(1), clause(-1)))

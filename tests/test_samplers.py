@@ -15,6 +15,7 @@ from cmrf.cnf import (
     build_dependency_graph,
     clause,
     gamma,
+    pack_rows,
     satisfies_all,
     unpack_rows,
     violated_constraints,
@@ -32,6 +33,7 @@ from cmrf.samplers import (
     gibbs_sample,
     moser_tardos_sample,
     nelson_sample,
+    sample_stream,
 )
 
 import corpus
@@ -39,6 +41,11 @@ import corpus
 
 def uniform(n):
     return ModelParams(np.zeros(n))
+
+
+def _gibbs(cs, m, cfg):
+    """The first batch of a Gibbs stream: chains from the stream's own starts."""
+    return next(sample_stream(cs, m, "gibbs", cfg))
 
 
 class TestNelson:
@@ -212,7 +219,7 @@ def test_kernel_is_built_once_per_constraint_set(monkeypatch):
         nelson_sample(cs, m, SamplerConfig(batch_size=50, seed=seed))
     moser_tardos_sample(cs, m, SamplerConfig(batch_size=50))
     assert not plans  # the resamplers never build the Gibbs plan
-    chains = [gibbs_sample(cs, m, SamplerConfig(batch_size=5, seed=seed, gibbs_burn_in=2))[0].rows
+    chains = [_gibbs(cs, m, SamplerConfig(batch_size=5, seed=seed, gibbs_burn_in=2))[0].rows
               for seed in (1, 2, 1)]
     assert builds == [cs] and len(plans) == 1
     # A chain leaves the shared plan as it found it.
@@ -294,7 +301,7 @@ def test_gibbs_matches_site_by_site_scan(case):
     cs, theta, x0, seed = case
     m = ModelParams(np.asarray(theta))
     cfg = SamplerConfig(batch_size=6, seed=seed, gibbs_burn_in=3, row_offset=seed % 100)
-    batch, stats = gibbs_sample(cs, m, cfg, init=x0)
+    batch, stats = gibbs_sample(cs, m, cfg, pack_rows(np.tile(x0, (6, 1))))
     rows = [_site_by_site_gibbs(cs, m, seed, cfg.row_offset + r, 3, x0) for r in range(6)]
     assert np.array_equal(batch.rows, np.array(rows, dtype=np.uint8))
     assert batch.valid_flags.all() and (stats.rounds_per_row == 3).all()
@@ -308,8 +315,9 @@ def test_gibbs_batch_equals_single_chains():
     m = ModelParams(np.linspace(-1.0, 1.0, cs.n_vars))
     x0 = nelson_sample(cs, m, SamplerConfig(batch_size=1, seed=3))[0].rows[0]
     cfg = SamplerConfig(batch_size=130, seed=11, gibbs_burn_in=4)
-    batch, _ = gibbs_sample(cs, m, cfg, init=x0)
-    singles = [gibbs_sample(cs, m, replace(cfg, batch_size=1, row_offset=r), init=x0)[0].rows[0]
+    batch, _ = gibbs_sample(cs, m, cfg, pack_rows(np.tile(x0, (130, 1))))
+    singles = [gibbs_sample(cs, m, replace(cfg, batch_size=1, row_offset=r),
+                            pack_rows(x0[None]))[0].rows[0]
                for r in range(130)]
     assert np.array_equal(batch.rows, np.array(singles))
     assert len(np.unique(batch.rows, axis=0)) > 1
@@ -405,7 +413,12 @@ class TestDeterminism:
     def test_rows_unpack_the_returned_words(self, sampler):
         # A batch is returned packed; its rows are unpacked on first use.
         cs, m = _EDGE_SET, ModelParams([0.3, -0.5, 0.0, 1.0, -1.0])
-        batch, _ = sampler(cs, m, SamplerConfig(batch_size=130, seed=6, gibbs_burn_in=3))
+        cfg = SamplerConfig(batch_size=130, seed=6, gibbs_burn_in=3)
+        if sampler is gibbs_sample:
+            starts = pack_rows(draw_valid_rows(cs, m, "nelson", 130, seed=6))
+            batch, _ = sampler(cs, m, cfg, starts)
+        else:
+            batch, _ = sampler(cs, m, cfg)
         assert batch.words.dtype == WORD and batch.words.shape == (cs.n_vars, 3)
         assert "rows" not in vars(batch)
         assert np.array_equal(batch.rows, unpack_rows(batch.words, 130))
@@ -470,47 +483,51 @@ class TestGibbs:
     def test_unconstrained_uniform(self):
         cs = ConstraintSet(n_vars=3)
         cfg = SamplerConfig(batch_size=30_000, seed=3, gibbs_burn_in=100)
-        batch, _ = gibbs_sample(cs, uniform(3), cfg)
+        batch, _ = _gibbs(cs, uniform(3), cfg)
         table = empirical_table(batch.rows)
         exact = {format(i, "03b"): 1 / 8 for i in range(8)}
         assert tv_distance(table, exact) <= 0.03
 
     def test_toy_close_to_exact(self, toy_cs, toy_uniform):
         cfg = SamplerConfig(batch_size=100_000, seed=19, gibbs_burn_in=1000)
-        batch, stats = gibbs_sample(toy_cs, toy_uniform, cfg)
+        batch, stats = _gibbs(toy_cs, toy_uniform, cfg)
         exact = exact_distribution(toy_cs, toy_uniform).prob_table()
         assert tv_distance(empirical_table(batch.rows), exact) <= 0.05
         assert (stats.rounds_per_row == 1000).all()
 
     def test_chain_stays_valid(self, toy_cs, toy_uniform):
         cfg = SamplerConfig(batch_size=500, seed=7, gibbs_burn_in=10)
-        batch, _ = gibbs_sample(toy_cs, toy_uniform, cfg)
+        batch, _ = _gibbs(toy_cs, toy_uniform, cfg)
         assert satisfies_all(toy_cs, batch.rows).all()
 
     def test_invalid_init_rejected(self, toy_cs, toy_uniform):
+        # Row 2 of the starts violates a constraint; then the starts lack a variable.
+        cfg = SamplerConfig(batch_size=8, seed=0)
+        starts = np.tile(np.array([0, 1, 1], dtype=np.uint8), (8, 1))
+        starts[2] = 0
         with pytest.raises(ValueError, match="satisfy"):
-            gibbs_sample(
-                toy_cs,
-                toy_uniform,
-                SamplerConfig(batch_size=4, seed=0),
-                init=np.array([0, 0, 0]),
-            )
+            gibbs_sample(toy_cs, toy_uniform, cfg, pack_rows(starts))
+        with pytest.raises(ValueError, match="words"):
+            gibbs_sample(toy_cs, toy_uniform, cfg, pack_rows(starts)[:2])
 
     def test_valid_init_used(self, toy_cs, toy_uniform):
+        # The 56 padding rows of the word are all zeros, which the toy set
+        # forbids; only the 8 chains' own rows are checked.
         cfg = SamplerConfig(batch_size=8, seed=0, gibbs_burn_in=1)
-        batch, _ = gibbs_sample(toy_cs, toy_uniform, cfg, init=np.array([0, 1, 1]))
+        starts = pack_rows(np.tile(np.array([0, 1, 1], dtype=np.uint8), (8, 1)))
+        batch, _ = gibbs_sample(toy_cs, toy_uniform, cfg, starts)
         assert satisfies_all(toy_cs, batch.rows).all()
 
     def test_unsatisfiable_raises(self):
         cs = ConstraintSet(n_vars=1, clauses=(clause(1), clause(-1)))
         cfg = SamplerConfig(batch_size=2, seed=0, t_tryout=10)
         with pytest.raises(SamplerExhaustedError):
-            gibbs_sample(cs, uniform(1), cfg)
+            _gibbs(cs, uniform(1), cfg)
 
     def test_deterministic(self, toy_cs, toy_uniform):
         cfg = SamplerConfig(batch_size=50, seed=21, gibbs_burn_in=20)
-        b1, _ = gibbs_sample(toy_cs, toy_uniform, cfg)
-        b2, _ = gibbs_sample(toy_cs, toy_uniform, cfg)
+        b1, _ = _gibbs(toy_cs, toy_uniform, cfg)
+        b2, _ = _gibbs(toy_cs, toy_uniform, cfg)
         assert np.array_equal(b1.rows, b2.rows)
 
     def test_single_site_chain_freezes_on_route_groups(self):
@@ -522,16 +539,15 @@ class TestGibbs:
         inst = gen_routes(3, seed=1)
         cs, m = inst.constraints, uniform(inst.constraints.n_vars)
         cfg = SamplerConfig(batch_size=5, seed=2, gibbs_burn_in=5)
-        batch, _ = gibbs_sample(cs, m, cfg)
+        batch, _ = _gibbs(cs, m, cfg)
         starts = draw_valid_rows(cs, m, "nelson", 5, seed=fold_seed(2, "gibbs-init"))
         assert satisfies_all(cs, batch.rows).all()
         assert np.array_equal(batch.rows, starts)
 
     def test_start_survives_an_exhausted_first_row(self):
-        # The starts are draw_valid_rows rows: where the first start batch
-        # leaves a row that exhausts t_tryout, a redrawn batch serves. On
-        # routes(5) the one-row first batch exhausts at 19 of seeds 0-39,
-        # these four among them.
+        # The starts are the valid rows of their nelson stream: where row 0
+        # exhausts t_tryout, a later row serves. On routes(5) row 0 exhausts
+        # at 19 of seeds 0-39, these four among them.
         from cmrf.problems import gen_routes, instance_theta
 
         inst = gen_routes(5)
@@ -542,7 +558,7 @@ class TestGibbs:
             first, _ = nelson_sample(cs, theta, first_cfg)
             assert not first.valid_flags[0], seed
             cfg = SamplerConfig(batch_size=1, seed=seed, gibbs_burn_in=1)
-            batch, _ = gibbs_sample(cs, theta, cfg)
+            batch, _ = _gibbs(cs, theta, cfg)
             assert satisfies_all(cs, batch.rows).all(), seed
 
 

@@ -84,6 +84,9 @@ def test_bench_sample(tmp_path):
         assert run["valid_rows_per_s"] > 0 and run["mean_rounds"] >= 1
     assert [run.get("burn_in", "-") for run in runs] == ["-", "-", None, 3]
     assert runs[3]["mean_rounds"] == 3  # every chain runs the burn-in, then emits
+    # Only the burn-in differs between the two gibbs runs; routes chains never move.
+    assert runs[2]["samples_sha256"] == runs[3]["samples_sha256"]
+    assert len({run["samples_sha256"] for run in runs}) == 3
 
 
 def test_bench_sample_burn_in_is_gibbs_only(tmp_path):
