@@ -82,10 +82,10 @@ def nonnegative_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """A value that must be above 0: the learning rate (--eta)."""
+    """A finite value that must be above 0: the learning rate (--eta)."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
     return value
 
 

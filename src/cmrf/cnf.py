@@ -131,6 +131,8 @@ def parse_dimacs(text: str) -> ConstraintSet:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise DimacsError(f"line {line_no}: second header {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(f"line {line_no}: malformed header {line!r}")
@@ -178,20 +180,22 @@ def emit_dimacs(cs: ConstraintSet) -> str:
 def load_constraints(cnf_path, groups_path=None) -> ConstraintSet:
     """Read a DIMACS file, merging the optional exactly-one sidecar JSON.
 
-    Sidecar schema: {"exactly_one": [[0-based var indices], ...], ...}; other
-    keys (instance metadata) are ignored here.
+    Sidecar schema: {"exactly_one": [[0-based var indices], ...], ...}, the
+    indices JSON integers; other keys (instance metadata) are ignored here.
     """
     with open(cnf_path, "r", encoding="utf-8") as fh:
         cs = parse_dimacs(fh.read())
     if groups_path is not None:
         with open(groups_path, "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
+        groups = sidecar.get("exactly_one", []) if isinstance(sidecar, dict) else None
+        if not isinstance(groups, list) or not all(
+                isinstance(g, list) and all(type(v) is int for v in g) for g in groups):
+            raise DimacsError("bad exactly-one sidecar: exactly_one must be a list of lists "
+                              "of integers in an object")
         try:
-            groups = tuple(
-                frozenset(int(v) for v in g) for g in sidecar.get("exactly_one", [])
-            )
-            cs = replace(cs, exactly_one_groups=groups)
-        except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: not an object
+            cs = replace(cs, exactly_one_groups=tuple(frozenset(g) for g in groups))
+        except ValueError as exc:
             raise DimacsError(f"bad exactly-one sidecar: {exc}") from exc
     return cs
 

@@ -36,8 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < float("inf"):
+            raise ValueError("eta must be positive and finite")
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
         if self.nll_every < 1:

@@ -63,6 +63,7 @@ class SamplerConfig:
 
 @dataclass
 class AssignmentBatch:
+    # Bits past row b in the last word are padding, and no reader looks at them.
     words: np.ndarray         # (n, ceil(b / 64)) packed rows, 64 to a word (cnf.WORD)
     valid_flags: np.ndarray   # (b,) bool; True only for rows satisfying all constraints
 
@@ -174,60 +175,54 @@ class _ConstraintKernel:
         """Plan of an index-order Gibbs sweep that updates a level at a time,
         on chains packed 64 to a word like the resamplers' table.
 
-        A variable's level is one more than the highest level of any
-        lower-indexed variable it shares a constraint with, or 0 if none. So
-        no constraint holds two members of a level, lower-indexed neighbours
-        sit in earlier levels and higher-indexed ones in later levels, and
+        Only free variables, in no exactly-one group, get levels; group
+        members never move (see gibbs_sample) and act as constants. A free
+        variable's level is one more than the highest level of any
+        lower-indexed free variable it shares a clause with, or 0 if none. So
+        no clause holds two members of a level, lower-indexed neighbours sit
+        in earlier levels and higher-indexed ones in later levels, and
         updating a whole level at once equals the site-by-site scan.
 
         Returns (order, levels). The sweep runs on a (2n + 2, words) table
-        with the variables relabelled level by level: row p holds variable
-        order[p], row n + p its negation, row 2n a zero word and row 2n + 1
-        an all-ones word, so each level is a slice [start, stop) of rows.
-        Each level is (start, stop, lits, group, depth): column
-        (v * depth + d) * size + k of lits, size = stop - start, lists the
-        rows of the other literals of the d-th constraint of member k that
-        can fail at value v, padded with the zero row; a member with fewer
-        than depth such constraints is padded with the all-ones row. A clause
-        whose own literal is true at v holds there, so it is left out of
-        that half; otherwise it holds where the OR of its other literals is
-        set. A group holds at v = 1 where no other member is set and at
-        v = 0 where exactly one is; `group` marks its columns with all ones,
-        and is None when the set has no groups.
+        with the variables relabelled level by level, the group members last:
+        row p holds variable order[p], row n + p its negation, row 2n a zero
+        word and row 2n + 1 an all-ones word, so each level is a slice
+        [start, stop) of rows. Each level is (start, stop, lits, depth):
+        column (v * depth + d) * size + k of lits, size = stop - start, lists
+        the rows of the other literals of the d-th clause of member k that can
+        fail at value v, padded with the zero row; a member with fewer than
+        depth such clauses is padded with the all-ones row. A clause can fail
+        only at the value that makes its own literal false, and there it
+        holds where the OR of its other literals is set.
         """
         n, zero, ones = self.n, 2 * self.n, 2 * self.n + 1
-        level = [-1] * n  # -1 until visited, so only lower-indexed neighbours count
-        for i in range(n):
+        frozen = np.zeros(n, dtype=bool)  # group codes are the members' indices
+        frozen[[c for j in np.flatnonzero(self.is_group) for c in self.codes[j]]] = True
+        level = [-1] * n  # -1 until visited, so only lower-indexed free neighbours count
+        for i in np.flatnonzero(~frozen).tolist():
             level[i] = 1 + max((level[c % n] for j in self.containing[i] for c in self.codes[j]),
                                default=-1)
-        level = np.array(level, dtype=np.intp)
+        top = max(level, default=-1)
+        level = np.where(frozen, top + 1, level)
         order = np.argsort(level, kind="stable")
         place = np.empty(n, dtype=np.intp)
         place[order] = np.arange(n)
-        bounds = np.searchsorted(level[order], np.arange(level.max(initial=-1) + 2))
+        bounds = np.searchsorted(level[order], np.arange(top + 2))
         levels = []
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            # cells[v][k]: (other rows, is a group) per constraint of member k that can fail at v
-            cells = [[[] for _ in range(stop - start)] for _ in range(2)]
+            cells = [[[] for _ in range(stop - start)] for _ in range(2)]  # [v][k]: clause rows
             for k, i in enumerate(order[start:stop].tolist()):
                 for j in self.containing[i]:
                     own = next(c for c in self.codes[j] if c % n == i)
-                    rows = [place[c % n] + n * (c >= n) for c in self.codes[j] if c != own]
-                    for v in (0, 1):
-                        if self.is_group[j] or (own >= n) == v:
-                            cells[v][k].append((rows, bool(self.is_group[j])))
+                    cells[own >= n][k].append([place[c % n] + n * (c >= n)
+                                               for c in self.codes[j] if c != own])
             depth = max(1, max(len(cell) for half in cells for cell in half))
-            columns = [cell[d] if d < len(cell) else ([ones], False)
+            columns = [cell[d] if d < len(cell) else [ones]
                        for half in cells for d in range(depth) for cell in half]
-            width = max(1, max(len(rows) for rows, _ in columns))
-            lits = np.full((width, len(columns)), zero, dtype=np.intp)
-            for k, (rows, _) in enumerate(columns):
+            lits = np.full((max(1, max(map(len, columns))), len(columns)), zero, dtype=np.intp)
+            for k, rows in enumerate(columns):
                 lits[: len(rows), k] = rows
-            group = None
-            if self.has_groups:
-                group = np.zeros((len(columns), 1), dtype=WORD)
-                group[[g for _, g in columns]] = ~np.uint64(0)
-            levels.append((start, stop, lits, group, depth))
+            levels.append((start, stop, lits, depth))
         return order, levels
 
 
@@ -378,7 +373,10 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
     final state. The draw of chain r (global row row_offset + r) at sweep s
     is bernoulli_field(row_hashes(fold_seed(seed, "gibbs-chain"),
     row_offset + r), s, ...), so a batch equals its chains run one at a time.
-    Sweeps run level by level; see _ConstraintKernel.gibbs_levels.
+    A group member never moves: its group has one member set, so 0 would
+    empty the group if that member is this one, and 1 would set a second if
+    not. Sweeps update the free variables level by level; see
+    _ConstraintKernel.gibbs_levels.
     sample_stream draws the starts.
     """
     _check_shapes(cs, m)
@@ -399,18 +397,8 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
     row_hash = row_hashes(fold_seed(cfg.seed, "gibbs-chain"), cfg.row_offset + np.arange(b))
     for sweep in range(1, cfg.gibbs_burn_in + 1):
         draw = bernoulli_field(row_hash, sweep, threshold).take(order, axis=0)
-        for start, stop, lits, group, depth in levels:
-            other = table.take(lits, axis=0)
-            if group is None:
-                ok = np.bitwise_or.reduce(other, axis=0)
-            else:
-                ok, two = other[0].copy(), np.zeros_like(other[0])
-                for w in other[1:]:
-                    two |= ok & w
-                    ok |= w
-                half = ok.shape[0] // 2
-                ok[:half] &= ~(two[:half] & group[:half])
-                ok[half:] ^= group[half:]
+        for start, stop, lits, depth in levels:
+            ok = np.bitwise_or.reduce(table.take(lits, axis=0), axis=0)
             ok = ok.reshape(2, depth, stop - start, -1)
             ok = np.bitwise_and.reduce(ok, axis=1) if depth > 1 else ok[:, 0]
             new = table[start:stop]

@@ -446,6 +446,16 @@ class TestErrorPaths:
                     "--sampler", "nelson", "--n", "5", "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
+    def test_second_dimacs_header_exits_2(self, tmp_path, capsys):
+        cnf = tmp_path / "two.cnf"
+        cnf.write_text("p cnf 5 1\n1 0\np cnf 8 2\n2 0\n")
+        theta = tmp_path / "theta.json"
+        save_model(ModelParams(np.zeros(5)), theta)
+        code = run(["sample", "--cnf", str(cnf), "--theta", str(theta),
+                    "--sampler", "nelson", "--n", "5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_IO
+        assert "second header" in json.loads(capsys.readouterr().err)["error"]["message"]
+
     def _sample(self, tmp_path, theta_text, *extra):
         cnf = tmp_path / "toy.cnf"
         cnf.write_text(TOY_DIMACS)
@@ -457,6 +467,20 @@ class TestErrorPaths:
     def test_groups_sidecar_not_an_object_exits_2(self, tmp_path, capsys):
         groups = tmp_path / "groups.json"
         groups.write_text("[[0, 1]]")
+        code = self._sample(tmp_path, '{"theta": [0, 0, 0]}', "--groups", str(groups))
+        assert code == EXIT_IO
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "DimacsError"
+
+    @pytest.mark.parametrize("text", [
+        '{"exactly_one": ["01"]}', '{"exactly_one": [[0.5, 2.9]]}',
+        '{"exactly_one": {"12": 1}}', '{"exactly_one": [[true, 2]]}',
+        '{"exactly_one": 3}', '{"exactly_one": [[0, 7]]}',
+    ], ids=["string", "floats", "object", "bool", "number", "out-of-range"])
+    def test_groups_sidecar_bad_members_exits_2(self, tmp_path, capsys, text):
+        # Each member must be a JSON integer; int() would read "01" as {0, 1}
+        # and [0.5, 2.9] as {0, 2}.
+        groups = tmp_path / "groups.json"
+        groups.write_text(text)
         code = self._sample(tmp_path, '{"theta": [0, 0, 0]}', "--groups", str(groups))
         assert code == EXIT_IO
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "DimacsError"
@@ -550,22 +574,23 @@ class TestErrorPaths:
         (["train", "--data", "d"], "--nll-every", 1),
         (["train", "--data", "d"], "--iters", 0),
         (["train", "--data", "d"], "--eta", 1),
+        (["train", "--data", "d"], "--eta", "inf"),
         (["gen", "--family", "sinkfree"], "--size", 1),
         (["gen", "--family", "ksat", "--size", "5"], "--k", 1),
         (["gen", "--family", "sinkfree", "--size", "5"], "--edge-prob", 1),
     ], ids=["sample-tryout", "gibbs-tryout", "gibbs-burn-in", "train-tryout", "train-m",
-            "train-nll-every", "train-iters", "train-eta", "gen-size", "gen-k",
+            "train-nll-every", "train-iters", "train-eta", "train-eta-inf", "gen-size", "gen-k",
             "gen-edge-prob"])
     def test_round_budget_below_one_exits_1(self, tmp_path, capsys, argv, flag, least, count):
         # Rejected while parsing, before manifest.json is written. The value
         # is `count` shifted below the flag's least accepted value (--iters
         # accepts 0, so it gets -1 and -3; --eta and --edge-prob must be
-        # above 0).
+        # above 0). A str `least` is itself the value: --eta must be finite.
         cnf, theta = _write_toy(tmp_path)
         inputs = {"sample": ["--cnf", str(cnf), "--theta", str(theta)],
                   "train": ["--cnf", str(cnf)], "gen": []}[argv[0]]
         out = tmp_path / "o"
-        value = str(int(count) + least - 1)
+        value = least if isinstance(least, str) else str(int(count) + least - 1)
         assert run([*argv, *inputs, flag, value, "--out", str(out)]) == EXIT_USAGE
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "UsageError" and flag in error["message"]

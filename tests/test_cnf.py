@@ -59,6 +59,14 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="header"):
             parse_dimacs("p dnf 2 1\n1 0")
 
+    @pytest.mark.parametrize("text", [
+        "p cnf 5 1\n5 0\np cnf 3 1",
+        "p cnf 5 1\n1 0\np cnf 8 2\n2 0",
+    ])
+    def test_second_header_rejected(self, text):
+        with pytest.raises(DimacsError, match="second header"):
+            parse_dimacs(text)
+
     def test_count_mismatch(self):
         with pytest.raises(DimacsError, match="mismatch"):
             parse_dimacs("p cnf 2 2\n1 0")

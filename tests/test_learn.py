@@ -288,6 +288,9 @@ def test_config_validation():
         TrainConfig(m=0)
     with pytest.raises(ValueError):
         TrainConfig(eta=0.0)
+    for eta in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(eta=eta)
     with pytest.raises(ValueError):
         TrainConfig(sampler_kind="annealed")
     with pytest.raises(ValueError, match="moser_tardos"):

@@ -227,6 +227,28 @@ def test_kernel_is_built_once_per_constraint_set(monkeypatch):
     samplers._kernel.cache_clear()
 
 
+def test_gibbs_plan_leaves_out_group_members():
+    # A group member never moves from a valid state, so only the variables in
+    # no group get levels, and the members come after the last level.
+    from cmrf.problems import gen_routes
+
+    order, levels = _ConstraintKernel(gen_routes(4).constraints).gibbs_levels
+    assert levels == [] and sorted(order.tolist()) == list(range(12))
+    cs = ConstraintSet(  # the set of the gibbs_mixed golden
+        n_vars=12,
+        clauses=(clause(1, 4), clause(-2, 5, 7), clause(-4, -5), clause(6, -8, 9),
+                 clause(-9, 11), clause(3, -11, 4), clause(8, 12), clause(-12, -7, 11)),
+        exactly_one_groups=(frozenset({0, 1, 2}), frozenset({5, 6}), frozenset({9})),
+    )
+    order, levels = _ConstraintKernel(cs).gibbs_levels
+    members = set().union(*cs.exactly_one_groups)
+    planned = order[: levels[-1][1]].tolist()
+    assert [start for start, *_ in levels] == [0] + [stop for _, stop, *_ in levels[:-1]]
+    assert not members & set(planned) and set(order[len(planned):].tolist()) == members
+    for start, stop, lits, depth in levels:
+        assert lits.shape[1] == 2 * depth * (stop - start)
+
+
 @st.composite
 def gibbs_chains(draw):
     """A mixed clause/group set (n <= 8) built to hold at a drawn start x0,
