@@ -79,96 +79,76 @@ class SamplerStats:
     per_constraint_resamples: np.ndarray  # (n_constraints,) int64 resample events
 
 
-class _Slots:
-    """Ragged integer lists, each nonempty, as slots widest list first:
-    slots[k] holds the k-th entry of every list that has one, so those lists
-    are a prefix of `order`, and unsort[i] is the place of list i in it.
-    A slot costs one row gather and one OR whatever the lists' widths."""
-
-    def __init__(self, lists):
-        width = np.array([len(row) for row in lists], dtype=np.intp)
-        order = np.argsort(-width, kind="stable")
-        self.slots = [np.array([lists[j][k] for j in order[:m]], dtype=np.intp)
-                      for k, m in enumerate((width[:, None] > np.arange(width.max(initial=0)))
-                                            .sum(axis=0).tolist())]
-        self.order = order
-        self.unsort = np.argsort(order)
-
-    def or_rows(self, table: np.ndarray) -> np.ndarray:
-        """Row i: the OR of the table rows in list i."""
-        out = table[self.slots[0]]
-        for slot in self.slots[1:]:
-            out[: slot.size] |= table[slot]
-        return out[self.unsort]
+def _padded(lists, fill: int) -> np.ndarray:
+    """Ragged integer lists as one (max(1, widest), len(lists)) index matrix:
+    column k holds lists[k], then `fill`, a row whose words leave an OR as
+    it was (zero) or an AND as it was (all ones)."""
+    out = np.full((max(1, max(map(len, lists), default=0)), len(lists)), fill, dtype=np.intp)
+    for k, row in enumerate(lists):
+        out[: len(row), k] = row
+    return out
 
 
 class _ConstraintKernel:
     """Every constraint, clause or exactly-one group, as a list of literal
     codes: codes[j] holds v + n * negated for each literal of constraint j
-    (group literals are never negated), and containing[i] lists the
-    constraints that hold variable i.
+    (group literals are never negated; the groups follow the n_clauses
+    clauses), and containing[i] lists the constraints that hold variable i.
 
-    The resamplers check a batch packed 64 rows to a word (cnf.WORD) in a
-    (2n, words) table: row v holds x_v and row n + v its negation. Over the
-    literal words w of a constraint, `two |= one & w; one |= w` marks the
-    rows where some literal holds and where two do; a constraint is violated
-    where `~one | (two & is_group)`, so clauses and groups share one pass and
-    need no counts. union_mask ORs the violation words over the constraints
-    of each variable. Both walk _Slots, whose gathers cost the same at any
-    width; np.bitwise_or.reduceat over the same lists was 2-6x slower from
-    16 words on.
+    All three samplers read a batch packed 64 rows to a word (cnf.WORD)
+    through one (2n + 2, words) `table`: row v holds x_v, row n + v its
+    negation, row 2n a zero word and row 2n + 1 an all-ones word. Each
+    ragged list is a _padded index matrix whose padding points at a row
+    that leaves the reduce unchanged, so a walk is one `take` and one
+    OR-reduce. violations ORs each constraint's literal words (padding:
+    row 2n) and marks the rows where the OR is 0; over a group's words w,
+    `two |= one & w; one |= w` also marks the rows where two members are
+    set. union_mask ORs the violation words over each variable's
+    constraints (padding: the zero last row of V).
     """
 
     def __init__(self, cs: ConstraintSet):
         literals = [cl.literals for cl in cs.clauses]
         literals += [[Literal(v) for v in sorted(g)] for g in cs.exactly_one_groups]
         n = self.n = cs.n_vars
-        self.is_group = np.arange(len(literals)) >= cs.n_clauses
-        self.has_groups = bool(cs.exactly_one_groups)
+        self.n_clauses = cs.n_clauses
         self.codes = [[lit.variable_index + n * lit.negated for lit in row] for row in literals]
         self.containing = [[] for _ in range(n)]
         for j, row in enumerate(self.codes):
             for code in row:
                 self.containing[code % n].append(j)
-        self.literal_slots = _Slots(self.codes)
-        self.group_words = np.where(self.is_group[self.literal_slots.order, None],
-                                    ~np.uint64(0), np.uint64(0)).astype(WORD)
-        # A variable in no constraint reads row n_constraints of V, which is 0.
-        self.var_slots = _Slots([row or [len(literals)] for row in self.containing])
+        self.literal_rows = _padded(self.codes, 2 * n)
+        self.constraint_rows = _padded(self.containing, len(literals))
 
     def table(self, values: np.ndarray) -> np.ndarray:
-        """The (2n, words) table of (n, words) packed values."""
-        out = np.empty((2 * self.n, values.shape[1]), dtype=WORD)
+        """The (2n + 2, words) table of (n, words) packed values."""
+        out = np.zeros((2 * self.n + 2, values.shape[1]), dtype=WORD)
         out[: self.n] = values
-        np.invert(values, out=out[self.n :])
+        np.invert(values, out=out[self.n : 2 * self.n])
+        out[-1] = ~np.uint64(0)
         return out
 
     def violations(self, table: np.ndarray) -> np.ndarray:
         """(n_constraints + 1, words): bit j of word w of row c is set where
         row 64w + j of the table violates constraint c. The last row is 0, for
         union_mask to read where a variable is in no constraint."""
-        V = np.zeros((self.is_group.size + 1, table.shape[1]), dtype=WORD)
-        if not self.is_group.size:
-            return V
-        slots = self.literal_slots.slots
-        one = table[slots[0]]
-        # Clause-only sets skip `two`, which made the ksat(1000) check 3x slower.
-        two = np.zeros_like(one) if self.has_groups else None
-        for slot in slots[1:]:
-            w = table[slot]
-            if two is not None:
-                two[: slot.size] |= one[: slot.size] & w
-            one[: slot.size] |= w
-        np.invert(one, out=one)
-        if two is not None:
-            one |= two & self.group_words
-        np.take(one, self.literal_slots.unsort, axis=0, out=V[:-1])
+        c = self.n_clauses
+        words = table.take(self.literal_rows, axis=0)
+        V = np.zeros((len(self.codes) + 1, table.shape[1]), dtype=WORD)
+        np.bitwise_or.reduce(words[:, :c], axis=0, out=V[:c])
+        if c < len(self.codes):  # `two` over clauses too made ksat(1000) 3x slower
+            one, two = words[0, c:], np.zeros_like(words[0, c:])
+            for w in words[1:, c:]:
+                two |= one & w
+                one |= w
+            V[c:-1] = one & ~two
+        np.invert(V[:-1], out=V[:-1])
         return V
 
     def union_mask(self, V: np.ndarray) -> np.ndarray:
         """(n, words): the rows for which variable i lies in a constraint that
         V marks violated."""
-        return self.var_slots.or_rows(V)
+        return np.bitwise_or.reduce(V.take(self.constraint_rows, axis=0), axis=0)
 
     @cached_property
     def gibbs_levels(self) -> tuple[np.ndarray, list[tuple]]:
@@ -183,11 +163,10 @@ class _ConstraintKernel:
         in earlier levels and higher-indexed ones in later levels, and
         updating a whole level at once equals the site-by-site scan.
 
-        Returns (order, levels). The sweep runs on a (2n + 2, words) table
-        with the variables relabelled level by level, the group members last:
-        row p holds variable order[p], row n + p its negation, row 2n a zero
-        word and row 2n + 1 an all-ones word, so each level is a slice
-        [start, stop) of rows. Each level is (start, stop, lits, depth):
+        Returns (order, levels). The sweep runs on the `table` of the
+        variables relabelled level by level, the group members last: row p
+        holds variable order[p] and row n + p its negation, so each level is
+        a slice [start, stop) of rows. Each level is (start, stop, lits, depth):
         column (v * depth + d) * size + k of lits, size = stop - start, lists
         the rows of the other literals of the d-th clause of member k that can
         fail at value v, padded with the zero row; a member with fewer than
@@ -197,7 +176,7 @@ class _ConstraintKernel:
         """
         n, zero, ones = self.n, 2 * self.n, 2 * self.n + 1
         frozen = np.zeros(n, dtype=bool)  # group codes are the members' indices
-        frozen[[c for j in np.flatnonzero(self.is_group) for c in self.codes[j]]] = True
+        frozen[[c for row in self.codes[self.n_clauses :] for c in row]] = True
         level = [-1] * n  # -1 until visited, so only lower-indexed free neighbours count
         for i in np.flatnonzero(~frozen).tolist():
             level[i] = 1 + max((level[c % n] for j in self.containing[i] for c in self.codes[j]),
@@ -217,11 +196,8 @@ class _ConstraintKernel:
                     cells[own >= n][k].append([place[c % n] + n * (c >= n)
                                                for c in self.codes[j] if c != own])
             depth = max(1, max(len(cell) for half in cells for cell in half))
-            columns = [cell[d] if d < len(cell) else [ones]
-                       for half in cells for d in range(depth) for cell in half]
-            lits = np.full((max(1, max(map(len, columns))), len(columns)), zero, dtype=np.intp)
-            for k, rows in enumerate(columns):
-                lits[: len(rows), k] = rows
+            lits = _padded([cell[d] if d < len(cell) else [ones]
+                            for half in cells for d in range(depth) for cell in half], zero)
             levels.append((start, stop, lits, depth))
         return order, levels
 
@@ -311,7 +287,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             drawn = np.zeros((n, 64 * X.shape[1]), dtype=np.uint8)
             drawn[:, live] = np.unpackbits(field, axis=1, count=live.size, bitorder="little")
             X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
-            np.invert(X, out=table[n:])
+            np.invert(X, out=table[n : 2 * n])
         else:  # the same bits, hashed only at the masked cells
             masked, bits, at = _set_bits(mask)
             slot, column = np.divmod(masked, mask.shape[1])
@@ -321,7 +297,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             flat = X.reshape(-1)
             flat[masked] = flat[masked] & ~mask.reshape(-1)[masked] | np.packbits(
                 bits, bitorder="little").view(WORD)
-            table[n:].reshape(-1)[masked] = ~flat[masked]
+            table[n : 2 * n].reshape(-1)[masked] = ~flat[masked]
 
     values[:, word_id] = X
     rounds = np.full(b, cfg.t_tryout, dtype=np.int64)  # rows that never passed
@@ -389,13 +365,11 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
         raise ValueError("every start must satisfy all constraints")
 
     order, levels = kernel.gibbs_levels
-    table = np.zeros((2 * n + 2, starts.shape[1]), dtype=WORD)
-    np.take(starts, order, axis=0, out=table[:n])
-    np.invert(table[:n], out=table[n:2 * n])
-    table[-1] = ~np.uint64(0)
+    table = kernel.table(starts.take(order, axis=0))
     threshold = bernoulli_threshold(marginals(m))
     row_hash = row_hashes(fold_seed(cfg.seed, "gibbs-chain"), cfg.row_offset + np.arange(b))
-    for sweep in range(1, cfg.gibbs_burn_in + 1):
+    sweeps = cfg.gibbs_burn_in if levels else 0  # with no levels, no variable can move
+    for sweep in range(1, sweeps + 1):
         draw = bernoulli_field(row_hash, sweep, threshold).take(order, axis=0)
         for start, stop, lits, depth in levels:
             ok = np.bitwise_or.reduce(table.take(lits, axis=0), axis=0)

@@ -187,7 +187,9 @@ def test_kernel_matches_reference(case):
     words = _words(X)
     assert np.array_equal(_unpack_rows(words, b), X)
     table = kernel.table(words)
-    assert np.array_equal(table, np.vstack([words, ~words]))
+    # Values, negations, a zero row at 2n and an all-ones row at 2n + 1.
+    constants = np.array([[0], [~np.uint64(0)]], dtype=WORD).repeat(words.shape[1], axis=1)
+    assert np.array_equal(table, np.vstack([words, ~words, constants]))
     V = kernel.violations(table)
     assert V.shape == (cs.n_constraints + 1, words.shape[1]) and not V[-1].any()
     S = violation_matrix(cs, X)
@@ -565,6 +567,24 @@ class TestGibbs:
         starts = draw_valid_rows(cs, m, "nelson", 5, seed=fold_seed(2, "gibbs-init"))
         assert satisfies_all(cs, batch.rows).all()
         assert np.array_equal(batch.rows, starts)
+
+    def test_empty_plan_draws_nothing(self, monkeypatch):
+        # Every routes variable lies in an exactly-one group, so the plan has
+        # no levels and a sweep would hash draws that no update reads.
+        from cmrf.problems import gen_routes, instance_theta
+
+        inst = gen_routes(4)
+        cs, theta = inst.constraints, instance_theta(inst)
+        starts = draw_valid_rows(cs, theta, "nelson", 70, seed=3)
+
+        def no_draws(*args):
+            raise AssertionError("bernoulli_field called on an empty plan")
+
+        monkeypatch.setattr(samplers, "bernoulli_field", no_draws)
+        cfg = SamplerConfig(batch_size=70, seed=4, gibbs_burn_in=500)
+        batch, stats = gibbs_sample(cs, theta, cfg, pack_rows(starts))
+        assert np.array_equal(batch.rows, starts) and batch.valid_flags.all()
+        assert (stats.rounds_per_row == 500).all()
 
     def test_start_survives_an_exhausted_first_row(self):
         # The starts are the valid rows of their nelson stream: where row 0
