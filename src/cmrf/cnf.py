@@ -181,7 +181,8 @@ def load_constraints(cnf_path, groups_path=None) -> ConstraintSet:
     """Read a DIMACS file, merging the optional exactly-one sidecar JSON.
 
     Sidecar schema: {"exactly_one": [[0-based var indices], ...], ...}, the
-    indices JSON integers; other keys (instance metadata) are ignored here.
+    indices JSON integers, none twice in a group; other keys (instance
+    metadata) are ignored here.
     """
     with open(cnf_path, "r", encoding="utf-8") as fh:
         cs = parse_dimacs(fh.read())
@@ -193,6 +194,9 @@ def load_constraints(cnf_path, groups_path=None) -> ConstraintSet:
                 isinstance(g, list) and all(type(v) is int for v in g) for g in groups):
             raise DimacsError("bad exactly-one sidecar: exactly_one must be a list of lists "
                               "of integers in an object")
+        for g in groups:
+            if len(set(g)) < len(g):
+                raise DimacsError(f"bad exactly-one sidecar: a variable appears twice in {g}")
         try:
             cs = replace(cs, exactly_one_groups=tuple(frozenset(g) for g in groups))
         except ValueError as exc:

@@ -474,10 +474,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("text", [
         '{"exactly_one": ["01"]}', '{"exactly_one": [[0.5, 2.9]]}',
         '{"exactly_one": {"12": 1}}', '{"exactly_one": [[true, 2]]}',
-        '{"exactly_one": 3}', '{"exactly_one": [[0, 7]]}',
-    ], ids=["string", "floats", "object", "bool", "number", "out-of-range"])
+        '{"exactly_one": 3}', '{"exactly_one": [[0, 7]]}', '{"exactly_one": [[0, 0, 1]]}',
+    ], ids=["string", "floats", "object", "bool", "number", "out-of-range", "duplicate"])
     def test_groups_sidecar_bad_members_exits_2(self, tmp_path, capsys, text):
-        # Each member must be a JSON integer; int() would read "01" as {0, 1}
+        # Each member must be a JSON integer, once; int() would read "01" as {0, 1}
         # and [0.5, 2.9] as {0, 2}.
         groups = tmp_path / "groups.json"
         groups.write_text(text)
