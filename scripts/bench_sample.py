@@ -8,7 +8,11 @@ own peak RSS (ru_maxrss) and what the call wrote to stats.json. An instance
 is `sinkfree:V`, gen_sinkfree(V, 0.1, seed=1) with zero weights, `ksat:N`,
 gen_ksat(N, N, 3, seed=1) with zero weights (what `cmrf gen --family ksat
 --size N --k 3 --seed 1` writes), or `routes:C`, gen_routes(C, seed=0) with
-its exactly-one groups and instance weights. Each run reports `wall_s`,
+its exactly-one groups and instance weights. Two more spread the constraint
+widths and variable degrees that ksat:N keeps narrow, with zero weights:
+`wide:N` adds one clause holding all N variables, positive (widths 3 and N),
+and `hub:N` adds a variable N, positive, to every clause (variable N in
+all N clauses, the others in about 3). Each run reports `wall_s`,
 `peak_rss_mb`, `exhausted` (INVALID rows), `valid_share` (valid rows / N),
 `valid_rows_per_s` (valid rows / wall_s), `mean_rounds` (mean of the
 rounds in stats.json; for gibbs the burn-in, after which each chain emits)
@@ -24,6 +28,7 @@ and instance ladders can be compared in one file:
     python scripts/bench_sample.py --label parent --src ../parent/src --sizes 10000 100000
     python scripts/bench_sample.py --label change
     python scripts/bench_sample.py --label change --instance ksat:10000 --sizes 1000
+    python scripts/bench_sample.py --label change --instance hub:10000 --sizes 1000
     python scripts/bench_sample.py --label change --instance routes:5 --sampler moser \
         --sizes 2000 --repeats 5 --out BENCH_masked_draws.json
     python scripts/bench_sample.py --label change --instance sinkfree:30 --sampler gibbs \
@@ -46,9 +51,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # count, argv[3] the instance, argv[4] the sampler, argv[5:] more CLI flags.
 _CHILD = """
 import hashlib, json, resource, sys, time
+from dataclasses import replace
 from pathlib import Path
 import numpy as np
 from cmrf import cli
+from cmrf.cnf import Clause, ConstraintSet, Literal
 from cmrf.model import ModelParams, save_model
 from cmrf.problems import gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance
 
@@ -56,10 +63,17 @@ work, n, sampler = Path(sys.argv[1]), sys.argv[2], sys.argv[4]
 family, size = sys.argv[3].split(":")
 if family == "sinkfree":
     inst = gen_sinkfree(int(size), 0.1, seed=1)
-elif family == "ksat":
-    inst = gen_ksat(int(size), int(size), 3, seed=1)
-else:
+elif family == "routes":
     inst = gen_routes(int(size), seed=0)
+else:  # ksat, wide and hub all hold the clauses of gen_ksat(N, N, 3, seed=1)
+    inst, N = gen_ksat(int(size), int(size), 3, seed=1), int(size)
+    cs = inst.constraints
+    if family == "wide":
+        every = Clause(tuple(map(Literal, range(N))))
+        inst.constraints = replace(cs, clauses=cs.clauses + (every,))
+    elif family == "hub":
+        inst.constraints = ConstraintSet(n_vars=N + 1, clauses=tuple(
+            Clause(c.literals + (Literal(N),)) for c in cs.clauses))
 save_instance(inst, work / "instance.cnf", work / "instance.json")
 theta = instance_theta(inst)
 save_model(theta or ModelParams(np.zeros(inst.constraints.n_vars)), work / "theta.json")
@@ -97,11 +111,14 @@ def _git_rev(src: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+_FAMILIES = ("sinkfree", "ksat", "wide", "hub", "routes")
+
+
 def _instance(text: str) -> str:
     family, _, size = text.partition(":")
-    if family not in ("sinkfree", "ksat", "routes") or not size.isdigit() or int(size) < 1:
+    if family not in _FAMILIES or not size.isdigit() or int(size) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected sinkfree:V, ksat:N or routes:C, got {text!r}")
+            f"expected one of {', '.join(f'{f}:N' for f in _FAMILIES)}, got {text!r}")
     return text
 
 
@@ -121,7 +138,8 @@ def main() -> int:
                         help="directory holding the cmrf package to measure")
     parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000, 1_000_000])
     parser.add_argument("--instance", type=_instance, default="sinkfree:80",
-                        help="sinkfree:V, ksat:N or routes:C (default: sinkfree:80)")
+                        help="sinkfree:V, ksat:N, wide:N, hub:N or routes:C "
+                             "(default: sinkfree:80)")
     parser.add_argument("--sampler", choices=["nelson", "moser", "gibbs"], default="nelson")
     parser.add_argument("--burn-in", type=int, default=None,
                         help="gibbs only: sweeps per chain (default: the CLI's)")
@@ -157,7 +175,10 @@ def main() -> int:
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["workload"] = ("cmrf sample --seed 1 with each run's sampler on each run's "
                           "instance (sinkfree:V is gen_sinkfree(V, 0.1, seed=1) and ksat:N "
-                          "gen_ksat(N, N, 3, seed=1), both with zero weights; routes:C is "
+                          "gen_ksat(N, N, 3, seed=1), both with zero weights; wide:N is "
+                          "ksat:N plus one positive clause over all N variables and hub:N "
+                          "ksat:N with a new variable N added positive to every clause, "
+                          "both with zero weights; routes:C is "
                           "gen_routes(C, seed=0) with its groups and weights); wall_s times "
                           "cli.run in a fresh process, peak_rss_mb is that process's "
                           "ru_maxrss, the rest comes from stats.json")

@@ -79,13 +79,38 @@ class SamplerStats:
     per_constraint_resamples: np.ndarray  # (n_constraints,) int64 resample events
 
 
-def _padded(lists, fill: int) -> np.ndarray:
-    """Ragged integer lists as one (max(1, widest), len(lists)) index matrix:
-    column k holds lists[k], then `fill`, a row whose words leave an OR as
-    it was (zero) or an AND as it was (all ones)."""
-    out = np.full((max(1, max(map(len, lists), default=0)), len(lists)), fill, dtype=np.intp)
-    for k, row in enumerate(lists):
-        out[: len(row), k] = row
+_SPREAD = 2  # the most a _split matrix pads its lists' entries by
+
+
+def _split(lists, fill: int, first: int = 0) -> list[tuple]:
+    """Ragged integer lists as index matrices [(columns, rows)]: column k of
+    rows holds the list at place columns[k] - first, padded with `fill`, a
+    row whose words leave an OR (zero) or an AND (all ones) as it was. The
+    lists are cut widest first, a matrix taking the next narrower ones while
+    its size stays within _SPREAD times their entries (an empty list counts
+    1), so a gather follows the entry count whatever the spread of widths
+    and degrees. Lists that fit in one matrix keep their order, as a slice."""
+    width = np.maximum(np.array([len(row) for row in lists], dtype=np.intp), 1)
+    order, parts = np.argsort(-width, kind="stable"), []
+    while order.size:
+        w = width[order]
+        k = 1 + int(np.flatnonzero(w[0] * np.arange(1, w.size + 1) <= _SPREAD * w.cumsum())[-1])
+        cols, order = np.sort(order[:k]), order[k:]
+        rows = np.full((w[0], k), fill, dtype=np.intp)
+        for c, j in enumerate(cols.tolist()):
+            rows[: len(lists[j]), c] = lists[j]
+        parts.append((slice(first, first + k) if k == width.size else first + cols, rows))
+    return parts
+
+
+def _or_into(out: np.ndarray, table: np.ndarray, parts) -> np.ndarray:
+    """Row c of out, for each column c of the _split parts: the OR of the
+    table rows that its list names."""
+    for cols, rows in parts:
+        if isinstance(cols, slice):  # one part, in list order: no copy
+            np.bitwise_or.reduce(table.take(rows, axis=0), axis=0, out=out[cols])
+        else:
+            out[cols] = np.bitwise_or.reduce(table.take(rows, axis=0), axis=0)
     return out
 
 
@@ -97,28 +122,28 @@ class _ConstraintKernel:
 
     All three samplers read a batch packed 64 rows to a word (cnf.WORD)
     through one (2n + 2, words) `table`: row v holds x_v, row n + v its
-    negation, row 2n a zero word and row 2n + 1 an all-ones word. Each
-    ragged list is a _padded index matrix whose padding points at a row
-    that leaves the reduce unchanged, so a walk is one `take` and one
-    OR-reduce. violations ORs each constraint's literal words (padding:
-    row 2n) and marks the rows where the OR is 0; over a group's words w,
-    `two |= one & w; one |= w` also marks the rows where two members are
-    set. union_mask ORs the violation words over each variable's
-    constraints (padding: the zero last row of V).
+    negation, row 2n a zero word and row 2n + 1 an all-ones word. Each list
+    set is _split into padded index matrices, a `take` and an OR-reduce
+    each. violations ORs each constraint's literal words (padding: row 2n)
+    and marks the rows where the OR is 0; over a group's words w,
+    `two |= one & w; one |= w` also marks where two members are set.
+    union_mask ORs the violation words over each variable's constraints
+    (padding: the zero last row of V).
     """
 
     def __init__(self, cs: ConstraintSet):
         literals = [cl.literals for cl in cs.clauses]
         literals += [[Literal(v) for v in sorted(g)] for g in cs.exactly_one_groups]
         n = self.n = cs.n_vars
-        self.n_clauses = cs.n_clauses
+        c = self.n_clauses = cs.n_clauses
         self.codes = [[lit.variable_index + n * lit.negated for lit in row] for row in literals]
         self.containing = [[] for _ in range(n)]
         for j, row in enumerate(self.codes):
             for code in row:
                 self.containing[code % n].append(j)
-        self.literal_rows = _padded(self.codes, 2 * n)
-        self.constraint_rows = _padded(self.containing, len(literals))
+        self.clause_rows = _split(self.codes[:c], 2 * n)
+        self.group_rows = _split(self.codes[c:], 2 * n, first=c)
+        self.constraint_rows = _split(self.containing, len(literals))
 
     def table(self, values: np.ndarray) -> np.ndarray:
         """The (2n + 2, words) table of (n, words) packed values."""
@@ -132,23 +157,22 @@ class _ConstraintKernel:
         """(n_constraints + 1, words): bit j of word w of row c is set where
         row 64w + j of the table violates constraint c. The last row is 0, for
         union_mask to read where a variable is in no constraint."""
-        c = self.n_clauses
-        words = table.take(self.literal_rows, axis=0)
-        V = np.zeros((len(self.codes) + 1, table.shape[1]), dtype=WORD)
-        np.bitwise_or.reduce(words[:, :c], axis=0, out=V[:c])
-        if c < len(self.codes):  # `two` over clauses too made ksat(1000) 3x slower
-            one, two = words[0, c:], np.zeros_like(words[0, c:])
-            for w in words[1:, c:]:
+        V = _or_into(np.zeros((len(self.codes) + 1, table.shape[1]), dtype=WORD),
+                     table, self.clause_rows)
+        for cols, rows in self.group_rows:  # `two` over clauses too made ksat(1000) 3x slower
+            words = table.take(rows, axis=0)
+            one, two = words[0], np.zeros_like(words[0])
+            for w in words[1:]:
                 two |= one & w
                 one |= w
-            V[c:-1] = one & ~two
+            V[cols] = one & ~two
         np.invert(V[:-1], out=V[:-1])
         return V
 
     def union_mask(self, V: np.ndarray) -> np.ndarray:
         """(n, words): the rows for which variable i lies in a constraint that
         V marks violated."""
-        return np.bitwise_or.reduce(V.take(self.constraint_rows, axis=0), axis=0)
+        return _or_into(np.empty((self.n, V.shape[1]), dtype=WORD), V, self.constraint_rows)
 
     @cached_property
     def gibbs_levels(self) -> tuple[np.ndarray, list[tuple]]:
@@ -196,8 +220,8 @@ class _ConstraintKernel:
                     cells[own >= n][k].append([place[c % n] + n * (c >= n)
                                                for c in self.codes[j] if c != own])
             depth = max(1, max(len(cell) for half in cells for cell in half))
-            lits = _padded([cell[d] if d < len(cell) else [ones]
-                            for half in cells for d in range(depth) for cell in half], zero)
+            lits = _split([cell[d] if d < len(cell) else [ones]
+                           for half in cells for d in range(depth) for cell in half], zero)
             levels.append((start, stop, lits, depth))
         return order, levels
 
@@ -372,8 +396,8 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
     for sweep in range(1, sweeps + 1):
         draw = bernoulli_field(row_hash, sweep, threshold).take(order, axis=0)
         for start, stop, lits, depth in levels:
-            ok = np.bitwise_or.reduce(table.take(lits, axis=0), axis=0)
-            ok = ok.reshape(2, depth, stop - start, -1)
+            ok = _or_into(np.empty((2 * depth * (stop - start), table.shape[1]), dtype=WORD),
+                          table, lits).reshape(2, depth, stop - start, -1)
             ok = np.bitwise_and.reduce(ok, axis=1) if depth > 1 else ok[:, 0]
             new = table[start:stop]
             np.bitwise_and(ok[1], draw[start:stop], out=new)

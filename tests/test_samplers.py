@@ -151,6 +151,18 @@ def _edge_rows(b):
     return (np.random.default_rng(b).random((b, 5)) < 0.5).astype(np.uint8)
 
 
+def _skewed_set():
+    """A 40-literal clause over a hub variable (0, in every clause) and 20
+    3-clauses, a 30-member group among 1-member ones: each of the clause,
+    group and variable lists is padded as more than one matrix (_split)."""
+    clauses = (clause(*range(1, 41)),) + tuple(clause(1, -i, i + 1) for i in range(2, 41, 2))
+    groups = (frozenset(range(10, 40)), *(frozenset({i}) for i in range(1, 9)))
+    X = (np.random.default_rng(5).random((70, 41)) < 0.5).astype(np.uint8)
+    X[:35, 10:40] = np.eye(30)[np.arange(35) % 30]  # the wide group holds on half the rows
+    X[:20, 1:9] = 1
+    return ConstraintSet(n_vars=41, clauses=clauses, exactly_one_groups=groups), X
+
+
 @given(mixed_sets_and_rows())
 @settings(max_examples=200, deadline=None)
 @example((ConstraintSet(n_vars=3), np.array([[0, 1, 0], [1, 1, 1]], dtype=np.uint8)))
@@ -162,6 +174,7 @@ def _edge_rows(b):
 @example((_EDGE_SET, _edge_rows(64)))
 @example((_EDGE_SET, _edge_rows(65)))
 @example(_wide_clauses())
+@example(_skewed_set())
 @example((  # a 257-wide group: true literal counts of 0, 1, 257 and 2
     ConstraintSet(n_vars=257, clauses=(clause(*range(1, 257)), clause(3)),
                   exactly_one_groups=(frozenset(range(257)),)),
@@ -198,6 +211,31 @@ def test_kernel_matches_reference(case):
     marked = np.vstack([_words(S), np.zeros((1, words.shape[1]), dtype=WORD)])
     mask = kernel.union_mask(marked)
     assert np.array_equal(mask, _words(union.reshape(b, cs.n_vars)))
+
+
+@pytest.mark.parametrize("lists", [
+    [[1, 2], [3], [], [4, 5, 6]],
+    [list(range(1000))] + [[j, j + 1, j + 2] for j in range(500)] + [[]] * 7,
+    [list(range(4 ** k)) for k in range(7)],
+    [[0]] * 300 + [list(range(300))] + [[1, 2]] * 300,
+], ids=["uniform", "long-list", "geometric", "hub"])
+def test_split_pads_each_list_once_within_the_spread(lists):
+    parts = samplers._split(lists, -1, first=7)
+    entries = [max(1, len(row)) for row in lists]
+    places = []
+    for cols, rows in parts:
+        cols = np.arange(7 + len(lists))[cols]  # a slice or the places themselves
+        places += (cols - 7).tolist()
+        assert rows.shape[1] == cols.size
+        assert rows.size <= samplers._SPREAD * sum(entries[j] for j in cols - 7)
+        for column, j in zip(rows.T, cols - 7):
+            width = len(lists[j])
+            assert column[:width].tolist() == lists[j] and (column[width:] == -1).all()
+    assert sorted(places) == list(range(len(lists)))
+    # Padding to the widest stays within the spread only on the uniform lists,
+    # which are then one matrix in list order.
+    assert (len(parts) == 1) == (len(lists) * max(entries) <= samplers._SPREAD * sum(entries))
+    assert isinstance(parts[0][0], slice) == (len(parts) == 1)
 
 
 def test_kernel_is_built_once_per_constraint_set(monkeypatch):
@@ -248,7 +286,7 @@ def test_gibbs_plan_leaves_out_group_members():
     assert [start for start, *_ in levels] == [0] + [stop for _, stop, *_ in levels[:-1]]
     assert not members & set(planned) and set(order[len(planned):].tolist()) == members
     for start, stop, lits, depth in levels:
-        assert lits.shape[1] == 2 * depth * (stop - start)
+        assert sum(rows.shape[1] for _, rows in lits) == 2 * depth * (stop - start)
 
 
 @st.composite
@@ -312,6 +350,12 @@ def _site_by_site_gibbs(cs, m, seed, row, burn_in, x0):
         exactly_one_groups=(frozenset({1, 3}),),
     ),
     [0.3, -0.7, 1.2, 0.0], np.array([1, 1, 1, 0], dtype=np.uint8), 7,
+))
+@example((  # variable 0 sees a 10-literal clause and three 2-literal ones, so its
+    # level is padded as two matrices (_split)
+    ConstraintSet(n_vars=13, clauses=(clause(*range(1, 11)), clause(1, 11), clause(1, 12),
+                                      clause(1, -13), clause(-2, 11))),
+    np.linspace(-1.0, 1.0, 13).tolist(), np.eye(13, dtype=np.uint8)[0], 8,
 ))
 @example((  # a clause and a group sharing variables
     ConstraintSet(
