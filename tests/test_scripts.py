@@ -89,6 +89,18 @@ def test_bench_sample(tmp_path):
     assert len({run["samples_sha256"] for run in runs}) == 3
 
 
+def test_bench_sample_skewed_instances(tmp_path):
+    # wide:N and hub:N spread the clause widths and variable degrees of ksat:N.
+    out = tmp_path / "bench.json"
+    for instance in ("ksat:12", "wide:12", "hub:12"):
+        proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", instance,
+                           "--sizes", "40", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())["results"]["t"]["runs"]
+    assert [run["instance"] for run in runs] == ["ksat:12", "wide:12", "hub:12"]
+    assert all(run["exit_code"] == 0 and run["valid_share"] > 0 for run in runs)
+
+
 def test_bench_sample_burn_in_is_gibbs_only(tmp_path):
     proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
                        "--sampler", "nelson", "--burn-in", "3", "--sizes", "40",
