@@ -191,9 +191,9 @@ class _ConstraintKernel:
         variables relabelled level by level, the group members last: row p
         holds variable order[p] and row n + p its negation, so each level is
         a slice [start, stop) of rows. Each level is (start, stop, lits, depth):
-        column (v * depth + d) * size + k of lits, size = stop - start, lists
-        the rows of the other literals of the d-th clause of member k that can
-        fail at value v, padded with the zero row; a member with fewer than
+        list (v * depth + d) * size + k of the _split lits, size = stop - start,
+        holds the rows of the other literals of the d-th clause of member k that
+        can fail at value v, padded with the zero row; a member with fewer than
         depth such clauses is padded with the all-ones row. A clause can fail
         only at the value that makes its own literal false, and there it
         holds where the OR of its other literals is set.
