@@ -188,6 +188,11 @@ def build_plan(argv: list[str]) -> RunPlan:
                 raise UsageError(f"{command}: this run does not read {flag}")
         elif options[name] is None:
             options[name] = default
+    if command == "gen":  # the least size each generator can build
+        least = options["k"] if options["family"] == "ksat" else 2
+        if options["size"] < least:
+            raise UsageError(f"gen: --size must be >= {least} for family {options['family']}, "
+                             f"got {options['size']}")
     return RunPlan(command=command, options=options)
 
 

@@ -152,12 +152,16 @@ def load_model(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
-        theta = np.asarray(payload["theta"], dtype=np.float64)
-        if theta.ndim != 1:
+        theta = payload["theta"]
+        # type(), not isinstance(): JSON true and false load as bool, an int subclass
+        if not isinstance(theta, list) or any(type(x) not in (int, float) for x in theta):
             raise ValueError("model theta must be a flat list of numbers")
-        if "n" in payload and int(payload["n"]) != theta.shape[0]:
-            raise ValueError("model file n does not match theta length")
+        if "n" in payload:
+            if type(payload["n"]) is not int:
+                raise ValueError("model file n must be an integer")
+            if payload["n"] != len(theta):
+                raise ValueError("model file n does not match theta length")
     except (TypeError, KeyError) as exc:
         raise ValueError(f'model file is not {{"theta": [numbers]}}: {exc!r}') from exc
-    return ModelParams(theta)
+    return ModelParams(np.asarray(theta, dtype=np.float64))
 

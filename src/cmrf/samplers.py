@@ -266,19 +266,16 @@ def _columns(words: np.ndarray) -> np.ndarray:
 def _resample_rounds(cs, m, cfg, resample_all: bool):
     """The round loop on packed words (see _ConstraintKernel).
 
-    `active` marks the rows still resampling, one bit per row. A word leaves
-    the table once none of its 64 rows is active; word_id holds the batch
-    word of each table column and row_hash the row hashes of its 64 rows."""
+    `active` marks the rows still resampling, one bit per row; the table
+    keeps every word of the batch for the whole call."""
     kernel = _kernel(cs)
     n, b = cs.n_vars, cfg.batch_size
     threshold = bernoulli_threshold(marginals(m))
     active = _row_words(b)
-    word_id = np.arange(active.size)
-    row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * word_id.size, dtype=np.int64))
-    values = bernoulli_field(row_hash[:b], 0, threshold)  # then keeps each dropped word
-    table = kernel.table(values)
+    row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * active.size, dtype=np.int64))
+    table = kernel.table(bernoulli_field(row_hash[:b], 0, threshold))
     X = table[:n]
-    finished = []  # (round, words, word_id): the rows that passed the check of a round
+    finished = []  # (round, words): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
 
     for t in range(1, cfg.t_tryout + 1):
@@ -287,18 +284,10 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         still = np.bitwise_or.reduce(V, axis=0)
         done = active ^ still
         if done.any():
-            finished.append((t, done, word_id))
+            finished.append((t, done))
             active = still
-            kept = np.count_nonzero(active)
-            if not kept:
+            if not active.any():
                 break
-            if kept < active.size:  # drop the words whose rows are all done
-                keep = active != 0
-                values[:, word_id[~keep]] = X[:, ~keep]
-                table, V = table.compress(keep, axis=1), V.compress(keep, axis=1)
-                active, word_id = active[keep], word_id[keep]
-                row_hash = row_hash.reshape(-1, 64)[keep].reshape(-1)
-                X = table[:n]
         if t == cfg.t_tryout:
             break
         if not resample_all:  # keep only each row's lowest-indexed violation
@@ -306,7 +295,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         tally += np.bitwise_count(V[:-1]).sum(axis=1, dtype=np.int64)
         mask = kernel.union_mask(V)
         if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * np.bitwise_count(active).sum():
-            live = _columns(active)  # done rows stay in their word until it drops
+            live = _columns(active)
             field = bernoulli_field(row_hash[live], t, threshold).view(np.uint8)
             drawn = np.zeros((n, 64 * X.shape[1]), dtype=np.uint8)
             drawn[:, live] = np.unpackbits(field, axis=1, count=live.size, bitorder="little")
@@ -323,16 +312,14 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
                 bits, bitorder="little").view(WORD)
             table[n : 2 * n].reshape(-1)[masked] = ~flat[masked]
 
-    values[:, word_id] = X
     rounds = np.full(b, cfg.t_tryout, dtype=np.int64)  # rows that never passed
     valid = np.zeros(b, dtype=bool)
     if finished:
-        check, words, ids = zip(*finished)
-        at = _columns(np.concatenate(words))
-        rows = (np.concatenate(ids)[at >> 6] << 6) | (at & 63)
-        rounds[rows] = np.repeat(check, [w.size for w in words])[at >> 6]
+        check, words = zip(*finished)
+        turn, rows = np.divmod(_columns(np.concatenate(words)), 64 * active.size)
+        rounds[rows] = np.array(check)[turn]
         valid[rows] = True
-    batch = AssignmentBatch(words=values, valid_flags=valid)
+    batch = AssignmentBatch(words=X, valid_flags=valid)
     return batch, SamplerStats(rounds_per_row=rounds, per_constraint_resamples=tally)
 
 

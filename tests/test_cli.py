@@ -486,7 +486,9 @@ class TestErrorPaths:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "DimacsError"
 
     @pytest.mark.parametrize(
-        "text", ["[0, 0]", "{}", '{"theta": {}}', '{"theta": [[0, 0, 0]], "n": 1}'])
+        "text", ["[0, 0]", "{}", '{"theta": {}}', '{"theta": [[0, 0, 0]], "n": 1}',
+                 '{"theta": ["0.5", "1", "0"]}', '{"theta": [true, false, true]}',
+                 '{"n": 3.9, "theta": [0, 0, 0]}', '{"n": "3", "theta": [0, 0, 0]}'])
     def test_malformed_theta_exits_1(self, tmp_path, capsys, text):
         assert self._sample(tmp_path, text) == EXIT_USAGE
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
@@ -512,6 +514,19 @@ class TestErrorPaths:
         out = tmp_path / "o"
         assert run([*argv, "--out", str(out)]) == EXIT_USAGE
         assert "does not read" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "routes", "--size", "1"],
+        ["gen", "--family", "sinkfree", "--size", "1"],
+        ["gen", "--family", "ksat", "--size", "3"],  # below the default --k of 5
+        ["gen", "--family", "ksat", "--size", "2", "--k", "3"],
+    ])
+    def test_gen_size_below_the_family_least_exits_1(self, tmp_path, capsys, argv):
+        # Rejected while parsing, before manifest.json is written.
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "--size" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("sampler", ["nelson", "moser"])
