@@ -23,7 +23,9 @@ run records it as `burn_in` (null: the CLI default).
 The results, with the git revision of --src, the numpy version and the CPU
 count, are stored under --label in the output JSON; other labels, and runs
 of other instances or samplers under the same label, are kept, so checkouts
-and instance ladders can be compared in one file:
+and instance ladders can be compared in one file. A call replaces the runs
+of its (label, instance, sampler, burn-in) unless `--append` is given, which
+adds to them, so two checkouts' repeats can alternate one call at a time:
 
     python scripts/bench_sample.py --label parent --src ../parent/src --sizes 10000 100000
     python scripts/bench_sample.py --label change
@@ -33,6 +35,10 @@ and instance ladders can be compared in one file:
         --sizes 2000 --repeats 5 --out BENCH_masked_draws.json
     python scripts/bench_sample.py --label change --instance sinkfree:30 --sampler gibbs \
         --burn-in 500 --sizes 100 1000 --out BENCH_gibbs_chains.json
+    for i in 1 2 3; do
+        python scripts/bench_sample.py --append --label parent --src ../parent/src --sizes 10000
+        python scripts/bench_sample.py --append --label change --sizes 10000
+    done
 """
 
 from __future__ import annotations
@@ -144,6 +150,9 @@ def main() -> int:
     parser.add_argument("--burn-in", type=int, default=None,
                         help="gibbs only: sweeps per chain (default: the CLI's)")
     parser.add_argument("--repeats", type=int, default=1, help="runs per size")
+    parser.add_argument("--append", action="store_true",
+                        help="add these runs to the stored ones of the same label, instance, "
+                             "sampler and burn-in instead of replacing them")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sample_stream.json")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -189,8 +198,9 @@ def main() -> int:
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "runs": [r for r in kept
-                 if (r.get("instance"), r.get("sampler", "nelson"), r.get("burn_in"))
-                 != key] + runs,
+                 if args.append
+                 or (r.get("instance"), r.get("sampler", "nelson"), r.get("burn_in")) != key]
+                + runs,
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

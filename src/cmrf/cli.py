@@ -7,6 +7,9 @@ the plan seed only (`oracle` enumerates and draws nothing, so it takes no
 seed). Flag defaults are read from SamplerConfig and TrainConfig. Failures
 exit with a stable code (1 usage, 2 I/O, 3 infeasible instance, 4 oracle
 enumeration cap, 5 sampler exhaustion) and a JSON error object on stderr.
+A run that goes on but cannot give what it was asked for writes a JSON
+warning object on stderr: `gen --family sinkfree` when the graph it drew has
+a tree component, which makes the instance unsatisfiable.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .oracle import (
     exact_grad_log_partition,
     expected_resamples,
 )
-from .problems import gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance
+from .problems import (gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance,
+                       tree_components)
 from .samplers import (SAMPLERS, SamplerConfig, SamplerExhaustedError, SamplerStats,
                        sample_stream)
 
@@ -230,6 +234,12 @@ def _run_gen(plan: RunPlan, outdir: Path) -> int:
         inst = gen_ksat(options["size"], options["size"], options["k"], seed=options["seed"])
     elif family == "sinkfree":
         inst = gen_sinkfree(options["size"], options["edge_prob"], seed=options["seed"])
+        trees = tree_components(options["size"], inst.metadata["edges"])
+        if trees:
+            which = "a tree component" if len(trees) == 1 else f"{len(trees)} tree components"
+            _warn(f"the graph has {which} of {', '.join(map(str, trees))} vertices; no "
+                  "orientation of a tree is sink-free, so no row satisfies this instance",
+                  tree_vertices=trees)
     else:
         inst = gen_routes(options["size"], seed=options["seed"])
     save_instance(inst, outdir / "instance.cnf", outdir / "instance.json")
@@ -361,6 +371,12 @@ def execute_plan(plan: RunPlan) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(plan, outdir)
     return _RUNNERS[plan.command](plan, outdir)
+
+
+def _warn(message: str, **fields) -> None:
+    """One JSON warning object on stderr; the run goes on."""
+    print(json.dumps({"warning": {"message": message, **fields}}, sort_keys=True),
+          file=sys.stderr)
 
 
 def _fail(exit_code: int, exc: Exception) -> int:

@@ -8,6 +8,7 @@ constraints. Every generator is a pure function of its seed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,7 @@ def gen_sinkfree(num_vertices: int, edge_prob: float = 0.55, seed: int = 0) -> P
     is satisfiable only if every component of the graph holds a cycle, and
     nothing redraws a graph with a tree component: 3 vertices can give a
     2-edge path, which no assignment satisfies, and 17 of seeds 0-99 at 5
-    vertices give a tree component.
+    vertices give a tree component (see tree_components).
     """
     if num_vertices < 2:
         raise ValueError("need at least two vertices")
@@ -93,6 +94,26 @@ def gen_sinkfree(num_vertices: int, edge_prob: float = 0.55, seed: int = 0) -> P
             "edges": edges,
         },
     )
+
+
+def tree_components(num_vertices: int, edges) -> list[int]:
+    """The vertex counts, ascending, of the components of a graph that hold
+    no cycle, for vertices 0 .. num_vertices - 1 and (a, b) edges. A tree
+    with k vertices has k - 1 edges and k vertex clauses that each need an
+    outgoing edge, so no sink-free orientation exists while one is left."""
+    root = list(range(num_vertices))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    vertices = Counter(find(v) for v in range(num_vertices))
+    links = Counter(find(a) for a, _ in edges)
+    return sorted(k for r, k in vertices.items() if links[r] == k - 1)
 
 
 def gen_routes(num_cities: int, seed: int = 0) -> ProblemInstance:

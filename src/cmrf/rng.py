@@ -1,17 +1,27 @@
 """Counter-based random streams.
 
 Every random draw in this package is a pure function of a 64-bit seed and
-counters: (row, round, slot) for the samplers' fields, one running counter
+counters: (row, round, slot) for the samplers' cells, (64-row word, round,
+variable, bit step) for the resamplers' round-0 field, one running counter
 for the generators and the trainer's data picks. There is no generator state
 to advance, so a batch of b parallel rows is bit-identical to b single-row
 runs, results do not depend on scheduling order, and any sub-computation can
 re-derive its own stream from the plan seed.
 
 The mixing function is the splitmix64 finalizer applied once per key field
-by hash_u64, implemented directly on uint64 arrays so whole (rows x
-variables) fields of uniforms come out of a handful of vectorized ops.
-Because a field's cells are keyed, not drawn in sequence, bernoulli_cells
-can hash any subset of a field's cells and give exactly the field's bits.
+by hash_u64, implemented directly on uint64 arrays so whole fields of draws
+come out of a handful of vectorized ops. Two keys draw Bernoulli bits:
+
+* the cell key (seed, row, round, variable): one hash per cell, compared
+  with an integer threshold. The masked resample rounds and the Gibbs sweeps
+  draw through it (bernoulli_field), and because a field's cells are keyed,
+  not drawn in sequence, bernoulli_cells can hash any subset of a field's
+  cells and give exactly the field's bits.
+* the word key (seed, 64-row word, round, variable, bit step): one hash
+  gives one bit of a 53-bit uniform for each of the 64 rows of a word, and a
+  row decides its draw at the first bit where its uniform differs from the
+  threshold (bernoulli_words). A whole field then takes about 12 hashes per
+  64 cells instead of 64; the resamplers draw their round 0 through it.
 """
 
 from __future__ import annotations
@@ -24,20 +34,22 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+_STEPS = ((np.uint64(30), _MIX_1), (np.uint64(27), _MIX_2), (np.uint64(31), None))
 
 
 def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
     """splitmix64 finalizer; full avalanche on uint64, wraps mod 2**64.
 
     The first add makes the result; on arrays every later step works in
-    place on it, so only the shifts allocate."""
+    place on it, with the shifts written to one scratch array, so a call
+    allocates twice whatever its size."""
     with np.errstate(over="ignore"):
         x = x + _GOLDEN
-        x ^= x >> np.uint64(30)
-        x *= _MIX_1
-        x ^= x >> np.uint64(27)
-        x *= _MIX_2
-        x ^= x >> np.uint64(31)
+        shifted = np.empty_like(x) if isinstance(x, np.ndarray) else None
+        for shift, factor in _STEPS:
+            x ^= np.right_shift(x, shift, out=shifted)
+            if factor is not None:
+                x *= factor
         return x
 
 
@@ -82,17 +94,6 @@ def uniforms(seed: int, counters) -> np.ndarray:
     return _to_unit(hash_u64(seed, np.asarray(counters, dtype=np.uint64)))
 
 
-def _field(seed: int, rows: np.ndarray, round_index: int, n_slots: int) -> np.ndarray:
-    """Hashes keyed by (seed, row, round, slot), shape (len(rows), n_slots)."""
-    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
-    return hash_u64(seed, rows, round_index, np.arange(n_slots, dtype=np.uint64))
-
-
-def uniform_field(seed: int, rows: np.ndarray, round_index: int, n_slots: int) -> np.ndarray:
-    """Uniforms in [0,1) keyed by (seed, row, round, slot), shape (len(rows), n_slots)."""
-    return _to_unit(_field(seed, rows, round_index, n_slots))
-
-
 def bernoulli_threshold(p) -> np.ndarray:
     """The largest hash h with _to_unit(h) <= p, for each p in [0, 1]: the
     form in which bernoulli_field and bernoulli_cells take the zero
@@ -127,14 +128,17 @@ def _round_prefix(rows: np.ndarray, round_index: int) -> np.ndarray:
 
 def bernoulli_field(row_hash: np.ndarray, round_index: int,
                     threshold: np.ndarray) -> np.ndarray:
-    """Bits keyed like uniform_field, for row_hash = row_hashes(seed, rows),
-    packed variable-major: a (len(threshold), ceil(len(rows) / 64))
-    array of WORD words in which bit j of word w of variable v is the draw of
-    (rows[64w + j], v), and bits past len(rows) are 0. For threshold =
-    bernoulli_threshold(p_zero), p_zero in [0, 1], the draws equal
-    uniform_field(seed, rows, round_index, len(p_zero)) > p_zero, but are
-    compared as integers without the float conversion. The field is hashed in
-    blocks of at most _BLOCK_CELLS cells (at least 64 rows of one variable)."""
+    """Bits of the cell key, for row_hash = row_hashes(seed, rows), packed
+    variable-major: a (len(threshold), ceil(len(rows) / 64)) array of WORD
+    words in which bit j of word w of variable v is the draw of
+    (rows[64w + j], v), and bits past len(rows) are 0. The draw of (row, v)
+    is 1 where hash_u64(seed, row, round_index, v) > threshold[v]; for
+    threshold = bernoulli_threshold(p_zero) that is where the hash's top 53
+    bits, as a uniform in [0, 1), exceed p_zero[v], compared as integers
+    without the float conversion. The masked resample rounds and the Gibbs
+    sweeps draw through this key; the resamplers' round 0 draws through
+    bernoulli_words. The field is hashed in blocks of at most _BLOCK_CELLS
+    cells (at least 64 rows of one variable)."""
     prefix = _round_prefix(row_hash, round_index)
     n = threshold.size
     words = np.zeros((n, -(-prefix.size // 64)), dtype=WORD)
@@ -163,3 +167,91 @@ def bernoulli_cells(row_hash: np.ndarray, round_index: int, threshold: np.ndarra
         block = prefix[r] ^ v.astype(np.uint64)
         np.greater(hash_u64(block), threshold[v], out=bits[start:start + _BLOCK_CELLS])
     return bits
+
+
+# Bit steps of the word key hashed for every (variable, word) pair at once.
+# All 64 rows of a pair have decided after k steps with probability
+# (1 - 2**-k)**64, 0.984 at k = 12; the rest take the remaining steps.
+_SLICE_STEPS = 12
+_UNIFORM_BITS = 53
+
+
+def _first_differences(hashes: np.ndarray, tbits: np.ndarray,
+                       seen: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Steps of the word key along axis 0 of hashes, against the threshold's
+    bits at those steps (tbits: 0 or all ones, broadcast to hashes). A lane
+    decides at its first step where its hash bit differs from the threshold
+    bit, unless it had decided before (seen), and draws 1 exactly where that
+    threshold bit is 0, that is where U > T. Returns the lanes that drew 1
+    and the lanes decided by the last step. Overwrites hashes."""
+    hashes ^= tbits  # the lanes that differ at each step
+    if seen is not None:
+        hashes[0] |= seen
+    for k in range(1, hashes.shape[0]):  # the lanes decided by step k
+        hashes[k] |= hashes[k - 1]
+    decided = hashes[-1].copy()
+    hashes[1:] ^= hashes[:-1]  # the lanes deciding at step k
+    if seen is not None:
+        hashes[0] &= ~seen
+    hashes &= ~tbits
+    return np.bitwise_or.reduce(hashes, axis=0), decided
+
+
+def bernoulli_words(seed: int, first_row: int, b: int, round_index: int,
+                    threshold: np.ndarray) -> np.ndarray:
+    """Bits of the word key for rows first_row .. first_row + b - 1, in the
+    layout of bernoulli_field: a (len(threshold), ceil(b / 64)) array of
+    WORD words in which bit j of word w of variable v is the draw of (row
+    first_row + 64w + j, v), and bits past b are 0.
+
+    Row r lies in lane r % 64 of global word r // 64. The hash of (seed
+    folded with "words", word, round_index, v, k) gives, in each lane, bit k
+    (counted from the top) of a 53-bit uniform U of that row; the draw is 1
+    where U > T = threshold[v] >> 11, so P(1) = (2**53 - 1 - T) / 2**53, the
+    probability bernoulli_field gives. A lane is decided at the first step
+    where its bit of U differs from T's (Knuth & Yao, 1976); the words hold
+    64 rows side by side, as a bitslice layout does (Biham, 1997). The first
+    _SLICE_STEPS steps of every (variable, word) pair are hashed in blocks
+    of at most _BLOCK_CELLS hashes; the pairs with a lane left undecided
+    take the remaining steps together, and a lane equal to T in all 53 bits
+    draws 0. A row reads only its own lane of its own word, so a batch
+    equals its rows drawn one at a time: a first_row that is not a multiple
+    of 64 hashes the global words the rows straddle and shifts them.
+    """
+    n, shift = threshold.size, first_row % 64
+    span = -(-(shift + b) // 64)  # global words the rows touch
+    word_hash = hash_u64(fold_seed(seed, "words"),
+                         np.arange(first_row // 64, first_row // 64 + span, dtype=np.uint64),
+                         round_index)
+    top = threshold >> np.uint64(11)
+    steps = np.arange(_UNIFORM_BITS, dtype=np.uint64)
+    tbits = -((top[None, :] >> (np.uint64(_UNIFORM_BITS - 1) - steps[:, None])) & np.uint64(1))
+    pairs = np.empty((n, span), dtype=WORD)  # the hash of (.., word, round, v) per pair
+    words = np.empty((n, span), dtype=WORD)
+    decided = np.empty((n, span), dtype=WORD)
+    k = _SLICE_STEPS
+    word_step = max(1, min(span, _BLOCK_CELLS // k))
+    var_step = max(1, _BLOCK_CELLS // (k * word_step))
+    for v in range(0, n, var_step):
+        lanes = np.arange(v, min(n, v + var_step), dtype=np.uint64)[:, None]
+        for w in range(0, span, word_step):
+            pair = pairs[v:v + var_step, w:w + word_step]
+            np.copyto(pair, hash_u64(word_hash[w:w + word_step] ^ lanes))
+            hashes = hash_u64(pair ^ steps[:k, None, None])
+            words[v:v + var_step, w:w + word_step], decided[v:v + var_step, w:w + word_step] = (
+                _first_differences(hashes, tbits[:k, v:v + var_step, None]))
+    open_var, open_word = np.nonzero(~decided)
+    chunk = max(1, _BLOCK_CELLS // (_UNIFORM_BITS - k))
+    for start in range(0, open_var.size, chunk):
+        v, w = open_var[start:start + chunk], open_word[start:start + chunk]
+        hashes = hash_u64(pairs[v, w] ^ steps[k:, None])
+        ones, _ = _first_differences(hashes, tbits[k:, v], decided[v, w])
+        words[v, w] |= ones
+    if shift:  # local word j takes the top of global word j and the bottom of j + 1
+        out = words[:, : -(-b // 64)] >> np.uint64(shift)
+        tail = min(out.shape[1], span - 1)
+        out[:, :tail] |= words[:, 1 : tail + 1] << np.uint64(64 - shift)
+        words = out
+    if b % 64:
+        words[:, -1] &= np.uint64((1 << (b % 64)) - 1)
+    return words

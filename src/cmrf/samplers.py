@@ -24,7 +24,9 @@ takes the first valid rows of a stream.
 
 All randomness is counter-based (see rng): a draw for (row, round, variable)
 never depends on batch size or scheduling, so batched and sequential runs are
-bit-identical and every run is reproducible from its seed.
+bit-identical and every run is reproducible from its seed. The resamplers'
+round 0 reads a row's lane of its 64-row word (rng.bernoulli_words), the
+later rounds and the Gibbs sweeps a cell per (row, variable).
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import numpy as np
 from .cnf import (WORD, ConstraintSet, Literal, pack_rows as _pack_rows,
                   unpack_rows as _unpack_rows)
 from .model import ModelParams, marginals
-from .rng import bernoulli_cells, bernoulli_field, bernoulli_threshold, fold_seed, row_hashes
+from .rng import (bernoulli_cells, bernoulli_field, bernoulli_threshold, bernoulli_words, fold_seed,
+                  row_hashes)
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -267,13 +270,15 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     """The round loop on packed words (see _ConstraintKernel).
 
     `active` marks the rows still resampling, one bit per row; the table
-    keeps every word of the batch for the whole call."""
+    keeps every word of the batch for the whole call. Round 0 draws the whole
+    field under the word key (rng.bernoulli_words); round t >= 1 redraws the
+    masked cells under the cell key (row, t, variable)."""
     kernel = _kernel(cs)
     n, b = cs.n_vars, cfg.batch_size
     threshold = bernoulli_threshold(marginals(m))
     active = _row_words(b)
     row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * active.size, dtype=np.int64))
-    table = kernel.table(bernoulli_field(row_hash[:b], 0, threshold))
+    table = kernel.table(bernoulli_words(cfg.seed, cfg.row_offset, b, 0, threshold))
     X = table[:n]
     finished = []  # (round, words): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)

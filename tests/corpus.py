@@ -1,8 +1,9 @@
 """Shared test instances.
 
 Builders for small extremal constraint sets with known structure, a
-deterministic corpus used by the statistical suites, and a replay of the
-violated sets a resampler run checked. Corpus instances are
+deterministic corpus used by the statistical suites, a replay of the
+violated sets a resampler run checked, and uniform_field, the reference of
+the samplers' cell key. Corpus instances are
 kept small-support on purpose: with 1e5 draws the expected total-variation
 distance of an empirical distribution scales like sqrt(support / draws), so
 supports above a few hundred states could not meet a 0.02 bound no matter
@@ -20,6 +21,7 @@ from cmrf.cnf import ConstraintSet, check_extremal, clause, violation_matrix
 from cmrf.model import ModelParams
 from cmrf.oracle import EmptySupportError, exact_distribution, expected_resamples
 from cmrf.problems import gen_sinkfree
+from cmrf.rng import _to_unit, hash_u64
 from cmrf.samplers import SamplerConfig
 
 MAX_CORPUS_SUPPORT = 150
@@ -122,8 +124,8 @@ def replay_violations(sampler, cs: ConstraintSet, m: ModelParams, cfg: SamplerCo
     """A seeded resampler run and, per row, the violated sets S_1, S_2, ...
     that its checks found, read with the reference evaluator.
 
-    Draws are keyed by (row, round, variable), so the run with t_tryout = t
-    is a prefix of the full run: rows the full run finished by round t come
+    A row's draws are keyed by its index and the round, so the run with
+    t_tryout = t is a prefix of the full run: rows the full run finished by round t come
     back unchanged, and every other row comes back invalid at round t, in
     the state that round checked. This asserts the prefix property for every
     t up to the last round with a violation.
@@ -146,3 +148,12 @@ def random_thetas(n: int, count: int, seed: int) -> list[ModelParams]:
     """Deterministic random weights in [-1, 1]^n."""
     rng = np.random.default_rng(seed)
     return [ModelParams(rng.uniform(-1.0, 1.0, size=n)) for _ in range(count)]
+
+
+def uniform_field(seed: int, rows, round_index: int, n_slots: int) -> np.ndarray:
+    """Uniforms in [0, 1) keyed by (seed, row, round, slot), shape
+    (len(rows), n_slots), one hash per cell: the reference that
+    rng.bernoulli_field, rng.bernoulli_cells and the Gibbs sweeps must match
+    (a draw is 1 where the uniform exceeds p_zero)."""
+    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
+    return _to_unit(hash_u64(seed, rows, round_index, np.arange(n_slots, dtype=np.uint64)))

@@ -90,6 +90,24 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest) == ["command", "options", "version"]
 
+    @pytest.mark.parametrize("size, seed, vertices", [(2, 0, 2), (5, 0, 5)])
+    def test_sinkfree_tree_component_warns(self, tmp_path, capsys, size, seed, vertices):
+        # One edge, and seed 0's 5-vertex tree: no orientation is sink-free.
+        out = tmp_path / "out"
+        assert run(["gen", "--family", "sinkfree", "--size", str(size), "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        warning = json.loads(lines[0])["warning"]
+        assert warning["tree_vertices"] == [vertices]
+        assert f"a tree component of {vertices} vertices" in warning["message"]
+        assert (out / "instance.cnf").exists()
+
+    def test_sinkfree_with_cycles_writes_no_warning(self, tmp_path, capsys):
+        assert run(["gen", "--family", "sinkfree", "--size", "5", "--seed", "1",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_routes_writes_theta(self, tmp_path):
         out = tmp_path / "out"
         assert run(["gen", "--family", "routes", "--size", "3", "--seed", "1",

@@ -19,6 +19,7 @@ from cmrf.problems import (
     gen_training_set,
     instance_theta,
     save_instance,
+    tree_components,
 )
 
 
@@ -112,6 +113,18 @@ class TestSinkfree:
                 degree[a] += 1
                 degree[b] += 1
             assert min(degree) >= 1
+
+    def test_tree_components_decide_satisfiability(self):
+        # A sink-free orientation exists exactly when no component is a tree.
+        assert tree_components(5, [(0, 1), (2, 3), (3, 4), (2, 4)]) == [2]
+        assert tree_components(6, [(0, 1), (1, 2), (3, 4), (4, 5)]) == [3, 3]
+        for seed in range(20):
+            inst = gen_sinkfree(5, seed=seed)
+            edges = inst.metadata["edges"]
+            if len(edges) > 10:
+                continue
+            satisfiable = _sinkfree_orientation_count([tuple(e) for e in edges], 5) > 0
+            assert satisfiable == (tree_components(5, edges) == []), seed
 
     @pytest.mark.parametrize("edge_prob", [0.0, -1.0, 1.5])
     def test_edge_prob_out_of_range(self, edge_prob):

@@ -12,9 +12,12 @@ from cmrf.rng import (
     bernoulli_cells,
     bernoulli_field,
     bernoulli_threshold,
+    bernoulli_words,
+    fold_seed,
+    hash_u64,
     row_hashes,
-    uniform_field,
 )
+from corpus import uniform_field
 
 # p values where floor(p * 2**53) or the float compare could go wrong: the
 # ends, the subnormal minimum, one ulp below 0.5 and 1, and 2**-53 / 2**-54,
@@ -117,3 +120,76 @@ def test_bernoulli_cells_across_blocks():
     threshold = bernoulli_threshold(p)
     bits = bernoulli_cells(row_hashes(9, ids), 5, threshold, r, v)
     assert np.array_equal(bits, _field(9, ids, 5, threshold)[r, v])
+
+
+def _lane_draw(seed, row, round_index, v, threshold):
+    """The word key's draw of (row, v), one lane at a time: walk the 53 bits
+    of the row's uniform U from the top, each from its own hash of (word,
+    round, v, step), and stop at the first bit that differs from T's."""
+    top = int(threshold) >> 11
+    pair = hash_u64(fold_seed(seed, "words"), row // 64, round_index, v)
+    for k in range(53):
+        bit = (int(hash_u64(pair ^ np.uint64(k))) >> (row % 64)) & 1
+        if bit != (top >> (52 - k)) & 1:
+            return bit
+    return 0  # U == T
+
+
+def _words_bits(seed, first_row, b, round_index, threshold):
+    """bernoulli_words unpacked to (n, b) uint8, checking its layout and
+    that the padding bits past b are 0."""
+    words = bernoulli_words(seed, first_row, b, round_index, threshold)
+    assert words.dtype == rng.WORD and words.shape == (threshold.size, -(-b // 64))
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, b:].any()
+    return bits[:, :b]
+
+
+WORD_P = np.array([0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 2.0**-53, 0.3, 0.97, 0.012])
+
+
+@pytest.mark.parametrize("first_row", [0, 1, 63, 64, 100])
+@pytest.mark.parametrize("b", [1, 63, 64, 65, 200])
+def test_bernoulli_words_equal_the_lane_reference(first_row, b):
+    threshold = bernoulli_threshold(WORD_P)
+    bits = _words_bits(21, first_row, b, 3, threshold)
+    expected = [[_lane_draw(21, first_row + r, 3, v, threshold[v]) for r in range(b)]
+                for v in range(WORD_P.size)]
+    assert np.array_equal(bits, expected)
+
+
+def test_bernoulli_words_undecided_pairs_take_the_remaining_steps(monkeypatch):
+    # With one step hashed up front, most (variable, word) pairs keep a lane
+    # undecided, so nearly every bit comes from the remaining steps.
+    threshold = bernoulli_threshold(np.random.default_rng(4).random(40))
+    full = bernoulli_words(8, 37, 1000, 2, threshold)
+    monkeypatch.setattr(rng, "_SLICE_STEPS", 1)
+    assert np.array_equal(bernoulli_words(8, 37, 1000, 2, threshold), full)
+    assert np.array_equal(_words_bits(8, 37, 20, 2, threshold[:3]),
+                          [[_lane_draw(8, 37 + r, 2, v, threshold[v]) for r in range(20)]
+                           for v in range(3)])
+
+
+def test_bernoulli_words_ends():
+    # p_zero = 1 never draws a 1; p_zero = 0 draws 1 unless U == 0 exactly.
+    bits = _words_bits(5, 17, 1000, 0, bernoulli_threshold([1.0, 0.0]))
+    assert not bits[0].any() and bits[1].all()
+
+
+def test_bernoulli_words_across_blocks():
+    # More (variable, word) pairs than one block of _SLICE_STEPS hashes holds,
+    # split both ways; rows drawn apart equal the rows drawn together.
+    wide = rng._BLOCK_CELLS // rng._SLICE_STEPS + 3
+    for n, b in ((3, 64 * wide), (wide, 70)):
+        threshold = bernoulli_threshold(np.random.default_rng(n).random(n))
+        bits = _words_bits(2, 5, b, 1, threshold)
+        for first, stop in ((0, 64), (64, 65), (65, b)):
+            assert np.array_equal(_words_bits(2, 5 + first, stop - first, 1, threshold),
+                                  bits[:, first:stop])
+
+
+def test_bernoulli_words_mean():
+    p = np.array([0.1, 0.5, 0.9])
+    bits = _words_bits(13, 0, 200_000, 0, bernoulli_threshold(p))
+    # 5 standard deviations of a mean of 2e5 Bernoulli draws is at most 0.0056
+    assert np.all(np.abs(bits.mean(axis=1) - (1 - p)) < 0.0056)

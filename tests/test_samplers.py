@@ -23,7 +23,7 @@ from cmrf.cnf import (
 )
 from cmrf.model import ModelParams, marginals
 from cmrf.oracle import empirical_table, exact_distribution, tv_distance
-from cmrf.rng import WORD, fold_seed, uniform_field
+from cmrf.rng import WORD, fold_seed
 from cmrf.samplers import (
     SamplerConfig,
     SamplerExhaustedError,
@@ -321,7 +321,7 @@ def _site_by_site_gibbs(cs, m, seed, row, burn_in, x0):
     p_zero = marginals(m)
     x = x0.copy()
     for sweep in range(1, burn_in + 1):
-        U = uniform_field(chain_seed, [row], sweep, n)[0]
+        U = corpus.uniform_field(chain_seed, [row], sweep, n)[0]
         for i in range(n):
             both = np.repeat(x[None], 2, axis=0)
             both[:, i] = (0, 1)

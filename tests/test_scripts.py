@@ -89,6 +89,24 @@ def test_bench_sample(tmp_path):
     assert len({run["samples_sha256"] for run in runs}) == 3
 
 
+def test_bench_sample_append(tmp_path):
+    # --append adds to the runs of a key; without it a call replaces them.
+    out = tmp_path / "bench.json"
+
+    def bench(*extra):
+        proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
+                           "--sizes", "40", "--out", str(out), *extra)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(out.read_text())["results"]["t"]["runs"]
+
+    bench()
+    bench("--sampler", "moser")
+    runs = bench("--append")
+    assert [run["sampler"] for run in runs] == ["nelson", "moser", "nelson"]
+    assert runs[0]["samples_sha256"] == runs[2]["samples_sha256"]
+    assert [run["sampler"] for run in bench()] == ["moser", "nelson"]
+
+
 def test_bench_sample_skewed_instances(tmp_path):
     # wide:N and hub:N spread the clause widths and variable degrees of ksat:N.
     out = tmp_path / "bench.json"
