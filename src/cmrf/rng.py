@@ -37,17 +37,21 @@ _U64_MASK = (1 << 64) - 1
 _STEPS = ((np.uint64(30), _MIX_1), (np.uint64(27), _MIX_2), (np.uint64(31), None))
 
 
-def _mix(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
+def _mix(x: np.uint64 | np.ndarray, scratch: np.ndarray | None = None) -> np.uint64 | np.ndarray:
     """splitmix64 finalizer; full avalanche on uint64, wraps mod 2**64.
 
     The first add makes the result; on arrays every later step works in
-    place on it, with the shifts written to one scratch array, so a call
-    allocates twice whatever its size."""
+    place on it, with the shifts written to one scratch array. Given
+    `scratch`, an array of x's shape, x itself is mixed in place and nothing
+    is allocated."""
     with np.errstate(over="ignore"):
-        x = x + _GOLDEN
-        shifted = np.empty_like(x) if isinstance(x, np.ndarray) else None
+        if scratch is None:
+            x = x + _GOLDEN
+            scratch = np.empty_like(x) if isinstance(x, np.ndarray) else None
+        else:
+            x += _GOLDEN
         for shift, factor in _STEPS:
-            x ^= np.right_shift(x, shift, out=shifted)
+            x ^= np.right_shift(x, shift, out=scratch)
             if factor is not None:
                 x *= factor
         return x
@@ -59,14 +63,20 @@ def _as_u64(value) -> np.uint64 | np.ndarray:
     return np.uint64(int(value) & _U64_MASK)
 
 
-def hash_u64(seed, *fields) -> np.uint64 | np.ndarray:
+def hash_u64(seed, *fields, scratch: np.ndarray | None = None) -> np.uint64 | np.ndarray:
     """Chain-mix seed with any number of (broadcastable) integer fields.
 
     The one splitmix chain of the package: every draw below is a keyed view
-    of it."""
-    h = _mix(_as_u64(seed))
+    of it. Given `scratch`, a uint64 array of seed's shape, seed must be a
+    uint64 array too: it is hashed in place, with no array allocated, and
+    the fields must broadcast to its shape."""
+    h = _mix(_as_u64(seed), scratch)
     for f in fields:
-        h = _mix(h ^ _as_u64(f))
+        if scratch is None:
+            h = h ^ _as_u64(f)
+        else:
+            h ^= _as_u64(f)
+        h = _mix(h, scratch)
     return h
 
 
@@ -190,7 +200,8 @@ def _first_differences(hashes: np.ndarray, tbits: np.ndarray,
     for k in range(1, hashes.shape[0]):  # the lanes decided by step k
         hashes[k] |= hashes[k - 1]
     decided = hashes[-1].copy()
-    hashes[1:] ^= hashes[:-1]  # the lanes deciding at step k
+    for k in range(hashes.shape[0] - 1, 0, -1):  # the lanes deciding at step k
+        hashes[k] ^= hashes[k - 1]
     if seen is not None:
         hashes[0] &= ~seen
     hashes &= ~tbits
@@ -223,29 +234,31 @@ def bernoulli_words(seed: int, first_row: int, b: int, round_index: int,
     word_hash = hash_u64(fold_seed(seed, "words"),
                          np.arange(first_row // 64, first_row // 64 + span, dtype=np.uint64),
                          round_index)
-    top = threshold >> np.uint64(11)
     steps = np.arange(_UNIFORM_BITS, dtype=np.uint64)
-    tbits = -((top[None, :] >> (np.uint64(_UNIFORM_BITS - 1) - steps[:, None])) & np.uint64(1))
+    top = threshold >> np.uint64(11)  # T; row k of tbits is T's bit k from the top, as 0 or ~0
+    tbits = -((top >> (np.uint64(_UNIFORM_BITS - 1) - steps[:, None])) & np.uint64(1))
     pairs = np.empty((n, span), dtype=WORD)  # the hash of (.., word, round, v) per pair
-    words = np.empty((n, span), dtype=WORD)
-    decided = np.empty((n, span), dtype=WORD)
+    words, decided = np.empty_like(pairs), np.empty_like(pairs)
     k = _SLICE_STEPS
     word_step = max(1, min(span, _BLOCK_CELLS // k))
-    var_step = max(1, _BLOCK_CELLS // (k * word_step))
+    var_step = max(1, min(n, _BLOCK_CELLS // (k * word_step)))
+    hashes, scratch = np.empty((2, k, var_step, word_step), dtype=WORD)  # reused by every block
     for v in range(0, n, var_step):
         lanes = np.arange(v, min(n, v + var_step), dtype=np.uint64)[:, None]
         for w in range(0, span, word_step):
-            pair = pairs[v:v + var_step, w:w + word_step]
-            np.copyto(pair, hash_u64(word_hash[w:w + word_step] ^ lanes))
-            hashes = hash_u64(pair ^ steps[:k, None, None])
-            words[v:v + var_step, w:w + word_step], decided[v:v + var_step, w:w + word_step] = (
-                _first_differences(hashes, tbits[:k, v:v + var_step, None]))
+            block = np.s_[v:v + var_step, w:w + word_step]
+            pair = pairs[block]
+            pair[...] = hash_u64(word_hash[w:w + word_step] ^ lanes)
+            work = np.s_[:, : pair.shape[0], : pair.shape[1]]
+            np.bitwise_xor(pair, steps[:k, None, None], out=hashes[work])
+            words[block], decided[block] = _first_differences(
+                hash_u64(hashes[work], scratch=scratch[work]), tbits[:k, v:v + var_step, None])
     open_var, open_word = np.nonzero(~decided)
     chunk = max(1, _BLOCK_CELLS // (_UNIFORM_BITS - k))
     for start in range(0, open_var.size, chunk):
         v, w = open_var[start:start + chunk], open_word[start:start + chunk]
-        hashes = hash_u64(pairs[v, w] ^ steps[k:, None])
-        ones, _ = _first_differences(hashes, tbits[k:, v], decided[v, w])
+        ones, _ = _first_differences(hash_u64(pairs[v, w] ^ steps[k:, None]), tbits[k:, v],
+                                     decided[v, w])
         words[v, w] |= ones
     if shift:  # local word j takes the top of global word j and the bottom of j + 1
         out = words[:, : -(-b // 64)] >> np.uint64(shift)
