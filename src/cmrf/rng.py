@@ -30,31 +30,35 @@ import numpy as np
 
 from .cnf import WORD
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN, _MIX_1, _MIX_2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _U64_MASK = (1 << 64) - 1
-_STEPS = ((np.uint64(30), _MIX_1), (np.uint64(27), _MIX_2), (np.uint64(31), None))
+_STEPS = ((np.uint64(30), np.uint64(_MIX_1)), (np.uint64(27), np.uint64(_MIX_2)),
+          (np.uint64(31), None))
 
 
 def _mix(x: np.uint64 | np.ndarray, scratch: np.ndarray | None = None) -> np.uint64 | np.ndarray:
     """splitmix64 finalizer; full avalanche on uint64, wraps mod 2**64.
 
-    The first add makes the result; on arrays every later step works in
-    place on it, with the shifts written to one scratch array. Given
-    `scratch`, an array of x's shape, x itself is mixed in place and nothing
-    is allocated."""
-    with np.errstate(over="ignore"):
-        if scratch is None:
-            x = x + _GOLDEN
-            scratch = np.empty_like(x) if isinstance(x, np.ndarray) else None
-        else:
-            x += _GOLDEN
-        for shift, factor in _STEPS:
-            x ^= np.right_shift(x, shift, out=scratch)
-            if factor is not None:
-                x *= factor
-        return x
+    A scalar is mixed as a Python int, exact and several times cheaper than
+    numpy scalar arithmetic. On an array (uint64 arrays wrap silently) the
+    first add makes the result and every later step works in place on it,
+    with the shifts written to one scratch array. Given `scratch`, an array
+    of x's shape, x itself is mixed in place and nothing is allocated."""
+    if not isinstance(x, np.ndarray):
+        x = (int(x) + _GOLDEN) & _U64_MASK
+        x = ((x ^ (x >> 30)) * _MIX_1) & _U64_MASK
+        x = ((x ^ (x >> 27)) * _MIX_2) & _U64_MASK
+        return np.uint64(x ^ (x >> 31))
+    if scratch is None:
+        x = x + np.uint64(_GOLDEN)
+        scratch = np.empty_like(x)
+    else:
+        x += np.uint64(_GOLDEN)
+    for shift, factor in _STEPS:
+        x ^= np.right_shift(x, shift, out=scratch)
+        if factor is not None:
+            x *= factor
+    return x
 
 
 def _as_u64(value) -> np.uint64 | np.ndarray:
