@@ -126,10 +126,9 @@ def _lane_draw(seed, row, round_index, v, threshold):
     """The word key's draw of (row, v), one lane at a time: walk the 53 bits
     of the row's uniform U from the top, each from its own hash of (word,
     round, v, step), and stop at the first bit that differs from T's."""
-    top = int(threshold) >> 11
-    pair = hash_u64(fold_seed(seed, "words"), row // 64, round_index, v)
+    top, key = int(threshold) >> 11, fold_seed(seed, "words")
     for k in range(53):
-        bit = (int(hash_u64(pair ^ np.uint64(k))) >> (row % 64)) & 1
+        bit = (int(hash_u64(key, row // 64, round_index, v, k)) >> (row % 64)) & 1
         if bit != (top >> (52 - k)) & 1:
             return bit
     return 0  # U == T
