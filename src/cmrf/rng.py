@@ -72,15 +72,10 @@ def hash_u64(seed, *fields, scratch: np.ndarray | None = None) -> np.uint64 | np
 
     The one splitmix chain of the package: every draw below is a keyed view
     of it. Given `scratch`, a uint64 array of seed's shape, seed must be a
-    uint64 array too: it is hashed in place, with no array allocated, and
-    the fields must broadcast to its shape."""
+    uint64 array too, and it is mixed in place with no array allocated."""
     h = _mix(_as_u64(seed), scratch)
     for f in fields:
-        if scratch is None:
-            h = h ^ _as_u64(f)
-        else:
-            h ^= _as_u64(f)
-        h = _mix(h, scratch)
+        h = _mix(h ^ _as_u64(f), scratch)
     return h
 
 
