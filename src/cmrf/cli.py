@@ -36,8 +36,7 @@ from .oracle import (
 )
 from .problems import (gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance,
                        tree_components)
-from .samplers import (SAMPLERS, SamplerConfig, SamplerExhaustedError, SamplerStats,
-                       sample_stream)
+from .samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError, sample_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -288,8 +287,7 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
             exhausted += size - int(np.count_nonzero(batch.valid_flags))
             start += size
     _write_stats(outdir / "stats.json", rounds, tally, exhausted)
-    summary = resample_stats(SamplerStats(rounds, tally))
-    save_histogram_csv(summary.histogram, outdir / "histogram.csv")
+    save_histogram_csv(resample_stats(rounds), outdir / "histogram.csv")
     if exhausted == n:
         raise SamplerExhaustedError("every row exhausted its resampling budget")
     return EXIT_OK
@@ -393,7 +391,7 @@ def run(argv: list[str] | None = None) -> int:
         return _fail(EXIT_USAGE, exc)
     try:
         return execute_plan(plan)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, DimacsError):
             return _fail(EXIT_IO, exc)
         return _fail(EXIT_USAGE, exc)
@@ -403,7 +401,7 @@ def run(argv: list[str] | None = None) -> int:
         return _fail(EXIT_CAP, exc)
     except EmptySupportError as exc:
         return _fail(EXIT_INFEASIBLE, exc)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return _fail(EXIT_IO, exc)
 
 

@@ -184,11 +184,18 @@ def load_constraints(cnf_path, groups_path=None) -> ConstraintSet:
     indices JSON integers, none twice in a group; other keys (instance
     metadata) are ignored here.
     """
-    with open(cnf_path, "r", encoding="utf-8") as fh:
-        cs = parse_dimacs(fh.read())
+    try:
+        with open(cnf_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DimacsError(f"DIMACS file is not UTF-8 text: {exc}") from exc
+    cs = parse_dimacs(text)
     if groups_path is not None:
-        with open(groups_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        try:
+            with open(groups_path, "r", encoding="utf-8") as fh:
+                sidecar = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DimacsError(f"bad exactly-one sidecar: not UTF-8 JSON text: {exc}") from exc
         groups = sidecar.get("exactly_one", []) if isinstance(sidecar, dict) else None
         if not isinstance(groups, list) or not all(
                 isinstance(g, list) and all(type(v) is int for v in g) for g in groups):

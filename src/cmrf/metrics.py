@@ -1,17 +1,16 @@
-"""Evaluation metrics: MAP@10 ranking score, gradient error, resample-round
-statistics."""
+"""Evaluation metrics: MAP@10 ranking score, gradient error, round
+histogram."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cnf import ConstraintSet, row_keys
 from .model import ModelParams, potential
 from .oracle import exact_grad_log_partition
-from .samplers import SamplerStats, draw_valid_rows
+from .samplers import draw_valid_rows
 
 
 def map_at_10(theta: ModelParams, preferred, unseen) -> float:
@@ -62,25 +61,11 @@ def grad_error(
     return float(np.abs(exact - estimate).sum())
 
 
-@dataclass
-class ResampleSummary:
-    histogram: dict[int, int] = field(default_factory=dict)
-    mean_rounds: float = 0.0
-    max_rounds: int = 0
-    per_constraint: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-
-def resample_stats(stats: SamplerStats) -> ResampleSummary:
-    """Frequency table of check rounds plus summary scalars."""
-    rounds = stats.rounds_per_row
+def resample_stats(rounds: np.ndarray) -> dict[int, int]:
+    """Round histogram: {rounds: number of rows that took that many}, by
+    ascending round count."""
     values, counts = np.unique(rounds, return_counts=True)
-    histogram = dict(zip(map(int, values), map(int, counts)))
-    return ResampleSummary(
-        histogram=histogram,
-        mean_rounds=float(rounds.mean()) if rounds.size else 0.0,
-        max_rounds=int(rounds.max()) if rounds.size else 0,
-        per_constraint=stats.per_constraint_resamples.copy(),
-    )
+    return dict(zip(map(int, values), map(int, counts)))
 
 
 def save_histogram_csv(histogram: dict[int, int], path) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,43 @@ class TestSample:
                 p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"
             })
         assert outputs[0] == outputs[1]
+
+
+class TestResampleReport:
+    """The resample effort `sample` reports (stats.json, histogram.csv) and
+    the prediction `oracle --what resamples` writes, on the toy instance at
+    the row count and bound of test_samplers.py's TestExpectedResampleCounts."""
+
+    N = 100_000
+
+    def _sample(self, tmp_path, sampler, *extra):
+        cnf, theta = _write_toy(tmp_path)
+        out = tmp_path / sampler
+        assert run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", sampler,
+                    "--n", str(self.N), "--seed", "101", "--out", str(out), *extra]) == 0
+        return out, json.loads((out / "stats.json").read_text())
+
+    def test_nelson_tallies_match_oracle(self, tmp_path):
+        _, stats = self._sample(tmp_path, "nelson")
+        cnf, theta = _write_toy(tmp_path)
+        out = tmp_path / "oracle"
+        assert run(["oracle", "--cnf", str(cnf), "--theta", str(theta),
+                    "--what", "resamples", "--out", str(out)]) == 0
+        expected = np.array(json.loads((out / "resamples.json").read_text())["per_constraint"])
+        observed = np.array(stats["per_constraint"]) / self.N
+        assert np.abs(observed - expected).max() / expected.max() < 0.05
+
+    @pytest.mark.parametrize("sampler, extra", [
+        ("nelson", ()), ("moser", ("--tryout", "2")), ("gibbs", ("--burn-in", "10")),
+    ], ids=["nelson", "moser", "gibbs"])
+    def test_histogram_and_exhausted_count_the_rows(self, tmp_path, sampler, extra):
+        out, stats = self._sample(tmp_path, sampler, *extra)
+        table = sorted(Counter(stats["rounds"]).items())
+        assert (out / "histogram.csv").read_text().splitlines() == [
+            "round,count", *(f"{rounds},{count}" for rounds, count in table)]
+        lines = (out / "samples.txt").read_text().splitlines()
+        assert len(lines) == self.N
+        assert stats["exhausted"] == sum(line.endswith(" INVALID") for line in lines)
 
 
 SAMPLE_FILES = ("samples.txt", "stats.json", "histogram.csv")
@@ -502,6 +540,25 @@ class TestErrorPaths:
         code = self._sample(tmp_path, '{"theta": [0, 0, 0]}', "--groups", str(groups))
         assert code == EXIT_IO
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "DimacsError"
+
+    @pytest.mark.parametrize("name, data", [
+        ("toy.cnf", b"c \xff\np cnf 3 2\n1 2 0\n-1 3 0\n"),
+        ("groups.json", b'{"exactly_one": [[0, 1]], "name": "\xff"}'),
+        ("groups.json", b'{"exactly_one": [[0, 1]]'),
+    ], ids=["cnf-not-utf8", "sidecar-not-utf8", "sidecar-not-json"])
+    def test_undecodable_instance_exits_2(self, tmp_path, capsys, name, data):
+        cnf, theta = _write_toy(tmp_path)
+        groups = tmp_path / "groups.json"
+        groups.write_text('{"exactly_one": [[0, 1]]}')
+        (tmp_path / name).write_bytes(data)
+        code = run(["sample", "--cnf", str(cnf), "--groups", str(groups), "--theta", str(theta),
+                    "--sampler", "nelson", "--n", "5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_IO
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "DimacsError"
+
+    def test_non_json_theta_exits_1(self, tmp_path, capsys):
+        assert self._sample(tmp_path, '{"theta": [0, 0, 0]') == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "JSONDecodeError"
 
     @pytest.mark.parametrize(
         "text", ["[0, 0]", "{}", '{"theta": {}}', '{"theta": [[0, 0, 0]], "n": 1}',

@@ -32,14 +32,6 @@ def test_sampler_bias_check(tmp_path):
     assert len(proc.stdout.splitlines()) == 1 + 2 * 2  # header, two weights per instance
 
 
-def test_resample_rounds(tmp_path):
-    out = tmp_path / "rounds"
-    proc = _run_script(tmp_path, "resample_rounds.py", "--n", "8", "--clauses", "4",
-                       "--runs", "500", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in out.iterdir()) == ["all-violated.csv", "one-violated.csv"]
-
-
 def test_train_sinkfree(tmp_path):
     out = tmp_path / "run"
     proc = _run_script(tmp_path, "train_sinkfree.py", "--vertices", "8", "--iters", "5",
@@ -125,3 +117,9 @@ def test_bench_sample_burn_in_is_gibbs_only(tmp_path):
                        "--out", str(tmp_path / "bench.json"))
     assert proc.returncode == 2 and "--burn-in" in proc.stderr
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_every_script_has_a_case():
+    # Each scripts/NAME.py is run by a test_NAME case in this module.
+    missing = [p.name for p in sorted(SCRIPTS.glob("*.py")) if f"test_{p.stem}" not in globals()]
+    assert missing == []
