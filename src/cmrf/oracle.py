@@ -1,8 +1,9 @@
 """Exhaustive-enumeration ground truth for small instances.
 
-Everything here walks all 2^n assignments (chunked, vectorized) and evaluates
-constraints with the reference evaluator `cnf.violation_matrix`, independently
-of the samplers' constraint kernel. It provides the exact constrained
+Everything here walks all 2^n assignments, 2^16 at a time in one reused
+variable-major buffer (see _enumerate), and evaluates constraints with the
+reference evaluator `cnf.violation_matrix`, independently of the samplers'
+constraint kernel. It provides the exact constrained
 distribution, the gradient of the log-partition function, and the
 product-measure violation probabilities that predict expected resample
 counts, plus the total-variation distance used to compare empirical and
@@ -65,26 +66,34 @@ class ResampleExpectation:
     total_expected: float
 
 
-def _block(cs: ConstraintSet, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows for the codes start..stop-1, variable i at bit n-1-i (so rows
-    come in lexicographic order), and their violation_matrix."""
-    codes = np.arange(start, stop, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(codes, axis=1, count=cs.n_vars, bitorder="little")[:, ::-1]
-    return bits, violation_matrix(cs, bits)
-
-
 def _enumerate(cs: ConstraintSet, m: ModelParams):
-    """Check the cap and theta's length, then return a generator of _block
-    over all 2^n codes in ascending order. The checks run on the call, not on
-    first iteration. The generator keeps no block; callers delete theirs
-    before asking for the next, so one block is alive at a time."""
+    """Check the cap and theta's length, then return a generator of (rows,
+    violation_matrix(cs, rows)) over all 2^n codes in ascending order, 2^16
+    codes a block, variable i at bit n-1-i of the code (so rows come in
+    lexicographic order). The checks run on the call, not on first
+    iteration. The rows are the transpose of one variable-major buffer, so
+    each of violation_matrix's columns is contiguous: its low variables hold
+    the block's bit pattern, built once per call, and the others the bits of
+    the block's start, constant in a block. The yielded rows are a view that
+    the next block overwrites: callers copy what they keep, and delete their
+    violation matrix before asking for the next, so one is alive at a time."""
     n = cs.n_vars
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(f"{n} variables exceeds enumeration cap {ENUMERATION_CAP}")
     if m.n != n:
         raise ValueError("theta length does not match n_vars")
-    step = 1 << min(n, _CHUNK_BITS)
-    return (_block(cs, start, start + step) for start in range(0, 1 << n, step))
+    low = min(n, _CHUNK_BITS)
+    codes = np.arange(1 << low, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.empty((n, 1 << low), dtype=np.uint8)
+    bits[n - low :] = np.unpackbits(codes, axis=1, count=low, bitorder="little")[:, ::-1].T
+    shifts = np.arange(n - low - 1, -1, -1)  # bit of the block number per high variable
+
+    def blocks():
+        for block in range(1 << (n - low)):
+            bits[: n - low] = ((block >> shifts) & 1)[:, None]
+            yield bits.T, violation_matrix(cs, bits.T)
+
+    return blocks()
 
 
 def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
@@ -94,9 +103,9 @@ def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
     assignments' potentials.
     """
     support = []
-    for bits, viol in _enumerate(cs, m):
-        support.append(bits[~viol.any(axis=1)])
-        del bits, viol
+    for rows, viol in _enumerate(cs, m):
+        support.append(rows[~viol.any(axis=1)])
+        del viol
     support = np.concatenate(support)
     if not len(support):
         raise EmptySupportError("constraint set is unsatisfiable")
@@ -143,14 +152,14 @@ def expected_resamples(cs: ConstraintSet, m: ModelParams) -> ResampleExpectation
     """
     q_empty = 0.0
     q_single = np.zeros(cs.n_constraints)
-    for bits, viol in _enumerate(cs, m):
-        weights = product_measure_weights(m, bits)
+    for rows, viol in _enumerate(cs, m):
+        weights = product_measure_weights(m, rows)
         counts = viol.sum(axis=1)
         q_empty += weights[counts == 0].sum()
         lone = counts == 1
         if lone.any():
             q_single += weights[lone] @ viol[lone]
-        del bits, viol
+        del viol
     if q_empty <= 0.0:
         raise EmptySupportError("no assignment satisfies all constraints")
     per = q_single / q_empty

@@ -14,9 +14,9 @@ come out of a handful of vectorized ops. Two keys draw Bernoulli bits:
 
 * the cell key (seed, row, round, variable): one hash per cell, compared
   with an integer threshold. The masked resample rounds and the Gibbs sweeps
-  draw through it (bernoulli_field), and because a field's cells are keyed,
-  not drawn in sequence, bernoulli_cells can hash any subset of a field's
-  cells and give exactly the field's bits.
+  draw through it (bernoulli_bits, and bernoulli_field, which packs it), and
+  because a field's cells are keyed, not drawn in sequence, bernoulli_cells
+  can hash any subset of a field's cells and give exactly the field's bits.
 * the word key (seed, 64-row word, round, variable, bit step): one hash
   gives one bit of a 53-bit uniform for each of the 64 rows of a word, and a
   row decides its draw at the first bit where its uniform differs from the
@@ -135,39 +135,49 @@ def _round_prefix(rows: np.ndarray, round_index: int) -> np.ndarray:
     return hash_u64(rows ^ _as_u64(round_index))
 
 
-def bernoulli_field(row_hash: np.ndarray, round_index: int,
-                    threshold: np.ndarray) -> np.ndarray:
-    """Bits of the cell key, for row_hash = row_hashes(seed, rows), packed
-    variable-major: a (len(threshold), ceil(len(rows) / 64)) array of WORD
-    words in which bit j of word w of variable v is the draw of
-    (rows[64w + j], v), and bits past len(rows) are 0. The draw of (row, v)
-    is 1 where hash_u64(seed, row, round_index, v) > threshold[v]; for
-    threshold = bernoulli_threshold(p_zero) that is where the hash's top 53
-    bits, as a uniform in [0, 1), exceed p_zero[v], compared as integers
-    without the float conversion. The masked resample rounds and the Gibbs
-    sweeps draw through this key; the resamplers' round 0 draws through
-    bernoulli_words. The field is hashed in blocks of at most _BLOCK_CELLS
-    cells (at least 64 rows of one variable)."""
+def bernoulli_bits(row_hash: np.ndarray, round_index: int,
+                   threshold: np.ndarray) -> np.ndarray:
+    """Bits of the cell key, for row_hash = row_hashes(seed, rows), unpacked:
+    a (len(threshold), len(rows)) bool array whose cell (v, i) is the draw of
+    (rows[i], v). The draw of (row, v) is True where hash_u64(seed, row,
+    round_index, v) > threshold[v]; for threshold =
+    bernoulli_threshold(p_zero) that is where the hash's top 53 bits, as a
+    uniform in [0, 1), exceed p_zero[v], compared as integers without the
+    float conversion. The field is hashed in blocks of at most _BLOCK_CELLS
+    cells (at least 64 rows of one variable); the dense resample rounds
+    scatter it straight into their rows."""
     prefix = _round_prefix(row_hash, round_index)
     n = threshold.size
-    words = np.zeros((n, -(-prefix.size // 64)), dtype=WORD)
-    packed = words.view(np.uint8)
+    bits = np.empty((n, prefix.size), dtype=bool)
     row_step = 64 * max(1, _BLOCK_CELLS // (64 * max(1, n)))
     var_step = max(1, _BLOCK_CELLS // row_step)
     slots = np.arange(n, dtype=np.uint64)[:, None]
     for v in range(0, n, var_step):
         for start in range(0, prefix.size, row_step):
             block = prefix[start:start + row_step] ^ slots[v:v + var_step]
-            bits = hash_u64(block) > threshold[v:v + var_step, None]
-            packed[v:v + var_step, start // 8:][:, : -(-bits.shape[1] // 8)] = (
-                np.packbits(bits, axis=1, bitorder="little"))
+            np.greater(hash_u64(block), threshold[v:v + var_step, None],
+                       out=bits[v:v + var_step, start:start + row_step])
+    return bits
+
+
+def bernoulli_field(row_hash: np.ndarray, round_index: int,
+                    threshold: np.ndarray) -> np.ndarray:
+    """bernoulli_bits packed variable-major: a (len(threshold),
+    ceil(len(rows) / 64)) array of WORD words in which bit j of word w of
+    variable v is the draw of (rows[64w + j], v), and bits past len(rows)
+    are 0. The Gibbs sweeps draw through this key; the resamplers' round 0
+    draws through bernoulli_words."""
+    bits = bernoulli_bits(row_hash, round_index, threshold)
+    words = np.zeros((bits.shape[0], -(-bits.shape[1] // 64)), dtype=WORD)
+    words.view(np.uint8)[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1,
+                                                                   bitorder="little")
     return words
 
 
 def bernoulli_cells(row_hash: np.ndarray, round_index: int, threshold: np.ndarray,
                     rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The draws of bernoulli_field(row_hash, round_index, threshold) at the
-    cells (rows[i], slots[i]), rows indexing row_hash, as bool, hashing only
+    """The draws of bernoulli_bits(row_hash, round_index, threshold) at the
+    cells (rows[i], slots[i]), rows indexing row_hash, hashing only
     those cells, _BLOCK_CELLS of them at a time."""
     prefix = _round_prefix(row_hash, round_index)
     bits = np.empty(rows.size, dtype=bool)

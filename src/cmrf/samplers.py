@@ -39,8 +39,8 @@ import numpy as np
 from .cnf import (WORD, ConstraintSet, Literal, pack_rows as _pack_rows,
                   unpack_rows as _unpack_rows)
 from .model import ModelParams, marginals
-from .rng import (bernoulli_cells, bernoulli_field, bernoulli_threshold, bernoulli_words, fold_seed,
-                  row_hashes)
+from .rng import (bernoulli_bits, bernoulli_cells, bernoulli_field, bernoulli_threshold,
+                  bernoulli_words, fold_seed, row_hashes)
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -280,6 +280,9 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * active.size, dtype=np.int64))
     table = kernel.table(bernoulli_words(cfg.seed, cfg.row_offset, b, 0, threshold))
     X = table[:n]
+    live = _columns(active)  # the active rows, and their hashes, as of the last finish
+    live_hash = row_hash[live]
+    drawn = np.zeros((n, 64 * active.size), dtype=bool)  # the dense rounds' cells
     finished = []  # (round, words): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
 
@@ -293,17 +296,16 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             active = still
             if not active.any():
                 break
+            live = _columns(active)
+            live_hash = row_hash[live]
         if t == cfg.t_tryout:
             break
         if not resample_all:  # keep only each row's lowest-indexed violation
             V[1:] &= ~np.bitwise_or.accumulate(V[:-1], axis=0)
         tally += np.bitwise_count(V[:-1]).sum(axis=1, dtype=np.int64)
         mask = kernel.union_mask(V)
-        if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * np.bitwise_count(active).sum():
-            live = _columns(active)
-            field = bernoulli_field(row_hash[live], t, threshold).view(np.uint8)
-            drawn = np.zeros((n, 64 * X.shape[1]), dtype=np.uint8)
-            drawn[:, live] = np.unpackbits(field, axis=1, count=live.size, bitorder="little")
+        if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * live.size:
+            drawn[:, live] = bernoulli_bits(live_hash, t, threshold)  # cells off live are masked
             X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
             np.invert(X, out=table[n : 2 * n])
         else:  # the same bits, hashed only at the masked cells
@@ -368,7 +370,9 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
     A group member never moves: its group has one member set, so 0 would
     empty the group if that member is this one, and 1 would set a second if
     not. Sweeps update the free variables level by level; see
-    _ConstraintKernel.gibbs_levels.
+    _ConstraintKernel.gibbs_levels. The buffers of a sweep depend on
+    batch_size, so each call builds them once, as a plan of per-level views
+    that every sweep reuses, and the cached kernel keeps none of them.
     sample_stream draws the starts.
     """
     _check_shapes(cs, m)
@@ -382,19 +386,30 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
 
     order, levels = kernel.gibbs_levels
     table = kernel.table(starts.take(order, axis=0))
+    draw = np.empty_like(table[:n])
     threshold = bernoulli_threshold(marginals(m))
     row_hash = row_hashes(fold_seed(cfg.seed, "gibbs-chain"), cfg.row_offset + np.arange(b))
+    plan = []  # per level: its _split parts, ok rows and AND target, then its table rows
+    for start, stop, lits, depth in levels:
+        ok = np.empty((2 * depth * (stop - start), table.shape[1]), dtype=WORD)
+        both = ok.reshape(2, depth, stop - start, -1)
+        anded = np.empty_like(both[:, 0]) if depth > 1 else both[:, 0]
+        plan.append((lits[0][1] if len(lits) == 1 else lits, ok,
+                     (both, anded) if depth > 1 else None, anded[0], anded[1],
+                     table[start:stop], table[n + start:n + stop], draw[start:stop]))
     sweeps = cfg.gibbs_burn_in if levels else 0  # with no levels, no variable can move
     for sweep in range(1, sweeps + 1):
-        draw = bernoulli_field(row_hash, sweep, threshold).take(order, axis=0)
-        for start, stop, lits, depth in levels:
-            ok = _or_into(np.empty((2 * depth * (stop - start), table.shape[1]), dtype=WORD),
-                          table, lits).reshape(2, depth, stop - start, -1)
-            ok = np.bitwise_and.reduce(ok, axis=1) if depth > 1 else ok[:, 0]
-            new = table[start:stop]
-            np.bitwise_and(ok[1], draw[start:stop], out=new)
-            new |= ~ok[0]
-            np.invert(new, out=table[n + start:n + stop])
+        np.take(bernoulli_field(row_hash, sweep, threshold), order, axis=0, out=draw)
+        for lits, ok, deep, ok0, ok1, new, neg, drawn in plan:
+            if isinstance(lits, np.ndarray):  # one part, in list order (see _split): all of ok
+                np.bitwise_or.reduce(table.take(lits, axis=0), axis=0, out=ok)
+            else:
+                _or_into(ok, table, lits)
+            if deep is not None:
+                np.bitwise_and.reduce(deep[0], axis=1, out=deep[1])
+            np.bitwise_and(ok1, drawn, out=new)
+            new |= np.invert(ok0, out=neg)  # neg is scratch until the last line
+            np.invert(new, out=neg)
     values = np.empty_like(starts)
     values[order] = table[:n]
     batch = AssignmentBatch(words=values, valid_flags=np.ones(b, dtype=bool))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmrf import oracle
-from cmrf.cnf import ConstraintSet, clause
+from cmrf.cnf import ConstraintSet, clause, satisfies_all
 from cmrf.model import ModelParams
 from cmrf.oracle import (
     EmptySupportError,
@@ -15,7 +15,7 @@ from cmrf.oracle import (
     expected_resamples,
     tv_distance,
 )
-from cmrf.problems import gen_ksat
+from cmrf.problems import gen_ksat, gen_routes, instance_theta
 
 import corpus
 
@@ -67,6 +67,30 @@ class TestExactDistribution:
             assert np.array_equal(moved.mean(), exact_grad_log_partition(cs, m))
         with pytest.raises(ValueError, match="theta length"):
             base.reweight(ModelParams(np.zeros(17)))
+
+    def test_blocks_of_any_size_enumerate_alike(self, monkeypatch):
+        # Blocks of 8 codes refill the high variables of the one buffer 2^15
+        # times; the support and its weights match the default 2^16-code
+        # blocks, and the support lists every satisfying row of 18 variables
+        # in lexicographic order. The resample prediction adds up one partial
+        # sum per block, so other blocks round it differently, within the
+        # float64 bound of a sum of 2^15 terms.
+        ksat = gen_ksat(18, 8, 3, seed=0).constraints
+        routes, rtol = gen_routes(4), (1 << 15) * np.finfo(np.float64).eps
+        cases = [(ksat, ModelParams(np.linspace(-1.0, 1.0, 18))),
+                 (routes.constraints, instance_theta(routes))]
+        default = [(exact_distribution(cs, m), expected_resamples(cs, m)) for cs, m in cases]
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", 3)
+        for (cs, m), (dist, expect) in zip(cases, default):
+            small, small_expect = exact_distribution(cs, m), expected_resamples(cs, m)
+            assert np.array_equal(small.support, dist.support)
+            assert np.array_equal(small.probabilities, dist.probabilities)
+            assert small.log_partition == dist.log_partition
+            assert small_expect.q_empty == pytest.approx(expect.q_empty, rel=rtol)
+            np.testing.assert_allclose(small_expect.q_single, expect.q_single, rtol=rtol)
+        codes = np.arange(1 << 18, dtype=">u4").view(np.uint8).reshape(-1, 4)
+        rows = np.unpackbits(codes, axis=1)[:, -18:]
+        assert np.array_equal(default[0][0].support, rows[satisfies_all(ksat, rows)])
 
     def test_mean_in_row_chunks(self, monkeypatch):
         cs = gen_ksat(10, 4, 3, seed=0).constraints

@@ -267,6 +267,33 @@ def test_kernel_is_built_once_per_constraint_set(monkeypatch):
     samplers._kernel.cache_clear()
 
 
+def test_gibbs_buffers_live_per_call():
+    # The sweep's buffers depend on the chain count, so each call builds its
+    # own: calls of 100, 130 and 100 chains and a one-sweep call on one cached
+    # kernel each give the bytes of a run on a fresh kernel.
+    from cmrf.problems import gen_sinkfree
+
+    cs = gen_sinkfree(6, 0.6, seed=2).constraints
+    m = ModelParams(np.linspace(-1.0, 1.0, cs.n_vars))
+    x0 = nelson_sample(cs, m, SamplerConfig(batch_size=1, seed=3))[0].rows[0]
+    configs = [SamplerConfig(batch_size=b, seed=11, gibbs_burn_in=sweeps)
+               for b, sweeps in ((100, 5), (130, 5), (100, 5), (100, 1))]
+
+    def chains(cfg):
+        starts = pack_rows(np.tile(x0, (cfg.batch_size, 1)))
+        return gibbs_sample(cs, m, cfg, starts)[0].words.tobytes()
+
+    fresh = []
+    for cfg in configs:
+        samplers._kernel.cache_clear()
+        fresh.append(chains(cfg))
+    samplers._kernel.cache_clear()
+    kernel = samplers._kernel(cs)
+    assert [chains(cfg) for cfg in configs] == fresh
+    assert samplers._kernel(cs) is kernel and len(set(fresh)) == 3
+    samplers._kernel.cache_clear()
+
+
 def test_gibbs_plan_leaves_out_group_members():
     # A group member never moves from a valid state, so only the variables in
     # no group get levels, and the members come after the last level.

@@ -111,6 +111,37 @@ def test_bench_sample_skewed_instances(tmp_path):
     assert all(run["exit_code"] == 0 and run["valid_share"] > 0 for run in runs)
 
 
+def test_bench_sample_train_and_oracle(tmp_path):
+    # --command train times `cmrf train` at each --m, --command oracle one
+    # `cmrf oracle --what dist` per repeat; both write the same bytes twice.
+    out = tmp_path / "bench.json"
+    for extra in (("--command", "train", "--sizes", "20"),
+                  ("--command", "oracle", "--repeats", "2")):
+        proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "ksat:8",
+                           "--append", "--out", str(out), *extra)
+        assert proc.returncode == 0, proc.stderr
+    proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "ksat:8",
+                       "--append", "--out", str(out), "--command", "train", "--sizes", "20")
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())["results"]["t"]["runs"]
+    assert [(run["command"], run["sampler"], run["n"]) for run in runs] == [
+        ("train", "nelson", 20), ("oracle", None, None), ("oracle", None, None),
+        ("train", "nelson", 20)]
+    assert all(run["exit_code"] == 0 and run["wall_s"] > 0 for run in runs)
+    assert runs[0]["model_sha256"] == runs[3]["model_sha256"] is not None
+    assert runs[1]["dist_sha256"] == runs[2]["dist_sha256"] is not None
+    assert "valid_rows_per_s" not in runs[0] and "model_sha256" not in runs[1]
+    for extra in (("--sizes", "10"), ("--sampler", "moser")):
+        proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--command", "oracle",
+                           "--instance", "ksat:8", "--out", str(out), *extra)
+        assert proc.returncode == 2 and extra[0] in proc.stderr
+    proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--command", "train",
+                       "--sampler", "gibbs", "--burn-in", "3", "--instance", "ksat:8",
+                       "--out", str(out))
+    assert proc.returncode == 2 and "--burn-in" in proc.stderr
+    assert len(json.loads(out.read_text())["results"]["t"]["runs"]) == 4
+
+
 def test_bench_sample_burn_in_is_gibbs_only(tmp_path):
     proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", "routes:3",
                        "--sampler", "nelson", "--burn-in", "3", "--sizes", "40",
