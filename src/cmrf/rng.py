@@ -155,7 +155,8 @@ def bernoulli_bits(row_hash: np.ndarray, round_index: int,
     for v in range(0, n, var_step):
         for start in range(0, prefix.size, row_step):
             block = prefix[start:start + row_step] ^ slots[v:v + var_step]
-            np.greater(hash_u64(block), threshold[v:v + var_step, None],
+            np.greater(hash_u64(block, scratch=np.empty_like(block)),  # in place: 1 buffer, not 2
+                       threshold[v:v + var_step, None],
                        out=bits[v:v + var_step, start:start + row_step])
     return bits
 
@@ -184,7 +185,8 @@ def bernoulli_cells(row_hash: np.ndarray, round_index: int, threshold: np.ndarra
     for start in range(0, rows.size, _BLOCK_CELLS):
         r, v = rows[start:start + _BLOCK_CELLS], slots[start:start + _BLOCK_CELLS]
         block = prefix[r] ^ v.astype(np.uint64)
-        np.greater(hash_u64(block), threshold[v], out=bits[start:start + _BLOCK_CELLS])
+        np.greater(hash_u64(block, scratch=np.empty_like(block)), threshold[v],
+                   out=bits[start:start + _BLOCK_CELLS])
     return bits
 
 
