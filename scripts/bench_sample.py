@@ -35,8 +35,8 @@ count, are stored under --label in the output JSON; other labels, and runs
 of other commands, instances or samplers under the same label, are kept, so
 checkouts and instance ladders can be compared in one file. A call replaces
 the runs of its (label, command, instance, sampler, burn-in) unless
-`--append` is given, which
-adds to them, so two checkouts' repeats can alternate one call at a time:
+`--append` is given, which adds to them, so two checkouts' repeats can
+alternate one call at a time:
 
     python scripts/bench_sample.py --label parent --src ../parent/src --sizes 10000 100000
     python scripts/bench_sample.py --label change

@@ -75,8 +75,9 @@ def _enumerate(cs: ConstraintSet, m: ModelParams):
     each of violation_matrix's columns is contiguous: its low variables hold
     the block's bit pattern, built once per call, and the others the bits of
     the block's start, constant in a block. The yielded rows are a view that
-    the next block overwrites: callers copy what they keep, and delete their
-    violation matrix before asking for the next, so one is alive at a time."""
+    the next block overwrites: callers copy what they keep, and delete the
+    rows and their violation matrix before asking for the next, so one
+    matrix is alive at a time and no view keeps the buffer past the loop."""
     n = cs.n_vars
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(f"{n} variables exceeds enumeration cap {ENUMERATION_CAP}")
@@ -105,7 +106,7 @@ def exact_distribution(cs: ConstraintSet, m: ModelParams) -> ExactDistribution:
     support = []
     for rows, viol in _enumerate(cs, m):
         support.append(rows[~viol.any(axis=1)])
-        del viol
+        del rows, viol
     support = np.concatenate(support)
     if not len(support):
         raise EmptySupportError("constraint set is unsatisfiable")
@@ -159,7 +160,7 @@ def expected_resamples(cs: ConstraintSet, m: ModelParams) -> ResampleExpectation
         lone = counts == 1
         if lone.any():
             q_single += weights[lone] @ viol[lone]
-        del viol
+        del rows, viol
     if q_empty <= 0.0:
         raise EmptySupportError("no assignment satisfies all constraints")
     per = q_single / q_empty
