@@ -280,9 +280,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * active.size, dtype=np.int64))
     table = kernel.table(bernoulli_words(cfg.seed, cfg.row_offset, b, 0, threshold))
     X = table[:n]
-    live = _columns(active)  # the active rows, and their hashes, as of the last finish
-    live_hash = row_hash[live]
-    drawn = np.zeros((n, 64 * active.size), dtype=bool)  # the dense rounds' cells
+    live = drawn = None  # the dense rounds' active rows (None once rows finish) and cells
     finished = []  # (round, words): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
 
@@ -296,15 +294,19 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
             active = still
             if not active.any():
                 break
-            live = _columns(active)
-            live_hash = row_hash[live]
+            live = None
         if t == cfg.t_tryout:
             break
         if not resample_all:  # keep only each row's lowest-indexed violation
             V[1:] &= ~np.bitwise_or.accumulate(V[:-1], axis=0)
         tally += np.bitwise_count(V[:-1]).sum(axis=1, dtype=np.int64)
         mask = kernel.union_mask(V)
-        if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * live.size:
+        if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * np.bitwise_count(active).sum():
+            if live is None:
+                live = _columns(active)
+                live_hash = row_hash[live]
+            if drawn is None:
+                drawn = np.zeros((n, 64 * active.size), dtype=bool)
             drawn[:, live] = bernoulli_bits(live_hash, t, threshold)  # cells off live are masked
             X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
             np.invert(X, out=table[n : 2 * n])
