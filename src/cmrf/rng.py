@@ -105,7 +105,7 @@ def uniforms(seed: int, counters) -> np.ndarray:
 
 def bernoulli_threshold(p) -> np.ndarray:
     """The largest hash h with _to_unit(h) <= p, for each p in [0, 1]: the
-    form in which bernoulli_field and bernoulli_cells take the zero
+    form in which bernoulli_bits and bernoulli_cells take the zero
     probabilities, so a caller that draws many fields converts them once.
 
     _to_unit(h) is k * 2**-53 with k = h >> 11, so it exceeds p exactly when
@@ -116,14 +116,14 @@ def bernoulli_threshold(p) -> np.ndarray:
     return (top.astype(np.uint64) << np.uint64(11)) | np.uint64(2047)
 
 
-# Cells per block of bernoulli_field and bernoulli_cells. Blocks this size
+# Cells per block of bernoulli_bits and bernoulli_cells. Blocks this size
 # keep the hash buffers in cache; blocks of 16k and 256k cells built a
 # 4096 x 299 field slower (BENCH_masked_draws.json).
 _BLOCK_CELLS = 65_536
 
 
 def row_hashes(seed: int, rows) -> np.ndarray:
-    """The hash of (seed, row) per row. bernoulli_field and bernoulli_cells
+    """The hash of (seed, row) per row. bernoulli_bits and bernoulli_cells
     take these, so a caller that draws many rounds for the same rows hashes
     the rows once."""
     return hash_u64(seed, np.asarray(rows, dtype=np.uint64).reshape(-1))
