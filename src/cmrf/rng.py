@@ -13,10 +13,11 @@ by hash_u64, implemented directly on uint64 arrays so whole fields of draws
 come out of a handful of vectorized ops. Two keys draw Bernoulli bits:
 
 * the cell key (seed, row, round, variable): one hash per cell, compared
-  with an integer threshold. The masked resample rounds and the Gibbs sweeps
-  draw through it (bernoulli_bits, and bernoulli_field, which packs it), and
-  because a field's cells are keyed, not drawn in sequence, bernoulli_cells
-  can hash any subset of a field's cells and give exactly the field's bits.
+  with an integer threshold. The later resample rounds and the Gibbs sweeps
+  draw through it. A field's cells are keyed, not drawn in sequence, so
+  bernoulli_bits(..., variables) can hash any variables' rows of a field
+  (the Gibbs sweeps draw the free variables only) and bernoulli_cells any
+  subset of its cells, and both give exactly the field's bits.
 * the word key (seed, 64-row word, round, variable, bit step): one hash
   gives one bit of a 53-bit uniform for each of the 64 rows of a word, and a
   row decides its draw at the first bit where its uniform differs from the
@@ -135,51 +136,38 @@ def _round_prefix(rows: np.ndarray, round_index: int) -> np.ndarray:
     return hash_u64(rows ^ _as_u64(round_index))
 
 
-def bernoulli_bits(row_hash: np.ndarray, round_index: int,
-                   threshold: np.ndarray) -> np.ndarray:
+def bernoulli_bits(row_hash: np.ndarray, round_index: int, threshold: np.ndarray,
+                   variables: np.ndarray) -> np.ndarray:
     """Bits of the cell key, for row_hash = row_hashes(seed, rows), unpacked:
-    a (len(threshold), len(rows)) bool array whose cell (v, i) is the draw of
-    (rows[i], v). The draw of (row, v) is True where hash_u64(seed, row,
-    round_index, v) > threshold[v]; for threshold =
+    a (len(variables), len(rows)) bool array whose cell (k, i) is the draw of
+    (rows[i], variables[k]). The draw of (row, v) is True where
+    hash_u64(seed, row, round_index, v) > threshold[v]; for threshold =
     bernoulli_threshold(p_zero) that is where the hash's top 53 bits, as a
     uniform in [0, 1), exceed p_zero[v], compared as integers without the
-    float conversion. The field is hashed in blocks of at most _BLOCK_CELLS
-    cells (at least 64 rows of one variable); the dense resample rounds
-    scatter it straight into their rows."""
+    float conversion. A cell is keyed by its variable, not by its place in
+    `variables`, so any subset in any order gives the bits of the full
+    field. The field is hashed in blocks of at most _BLOCK_CELLS cells (at
+    least 64 rows of one variable)."""
     prefix = _round_prefix(row_hash, round_index)
-    n = threshold.size
+    n = variables.size
     bits = np.empty((n, prefix.size), dtype=bool)
     row_step = 64 * max(1, _BLOCK_CELLS // (64 * max(1, n)))
     var_step = max(1, _BLOCK_CELLS // row_step)
-    slots = np.arange(n, dtype=np.uint64)[:, None]
+    keys, threshold = variables.astype(np.uint64)[:, None], threshold[variables, None]
     for v in range(0, n, var_step):
         for start in range(0, prefix.size, row_step):
-            block = prefix[start:start + row_step] ^ slots[v:v + var_step]
+            block = prefix[start:start + row_step] ^ keys[v:v + var_step]
             np.greater(hash_u64(block, scratch=np.empty_like(block)),  # in place: 1 buffer, not 2
-                       threshold[v:v + var_step, None],
+                       threshold[v:v + var_step],
                        out=bits[v:v + var_step, start:start + row_step])
     return bits
 
 
-def bernoulli_field(row_hash: np.ndarray, round_index: int,
-                    threshold: np.ndarray) -> np.ndarray:
-    """bernoulli_bits packed variable-major: a (len(threshold),
-    ceil(len(rows) / 64)) array of WORD words in which bit j of word w of
-    variable v is the draw of (rows[64w + j], v), and bits past len(rows)
-    are 0. The Gibbs sweeps draw through this key; the resamplers' round 0
-    draws through bernoulli_words."""
-    bits = bernoulli_bits(row_hash, round_index, threshold)
-    words = np.zeros((bits.shape[0], -(-bits.shape[1] // 64)), dtype=WORD)
-    words.view(np.uint8)[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1,
-                                                                   bitorder="little")
-    return words
-
-
 def bernoulli_cells(row_hash: np.ndarray, round_index: int, threshold: np.ndarray,
                     rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The draws of bernoulli_bits(row_hash, round_index, threshold) at the
-    cells (rows[i], slots[i]), rows indexing row_hash, hashing only
-    those cells, _BLOCK_CELLS of them at a time."""
+    """The draws of bernoulli_bits at the cells (rows[i], slots[i]), rows
+    indexing row_hash and slots naming variables, hashing only those cells,
+    _BLOCK_CELLS of them at a time."""
     prefix = _round_prefix(row_hash, round_index)
     bits = np.empty(rows.size, dtype=bool)
     for start in range(0, rows.size, _BLOCK_CELLS):
@@ -221,16 +209,16 @@ def _first_differences(hashes: np.ndarray, tbits: np.ndarray,
 
 def bernoulli_words(seed: int, first_row: int, b: int, round_index: int,
                     threshold: np.ndarray) -> np.ndarray:
-    """Bits of the word key for rows first_row .. first_row + b - 1, in the
-    layout of bernoulli_field: a (len(threshold), ceil(b / 64)) array of
-    WORD words in which bit j of word w of variable v is the draw of (row
-    first_row + 64w + j, v), and bits past b are 0.
+    """Bits of the word key for rows first_row .. first_row + b - 1, packed
+    variable-major: a (len(threshold), ceil(b / 64)) array of WORD words in
+    which bit j of word w of variable v is the draw of (row first_row + 64w
+    + j, v), and bits past b are 0.
 
     Row r lies in lane r % 64 of global word r // 64. The hash of (seed
     folded with "words", word, round_index, v, k) gives, in each lane, bit k
     (counted from the top) of a 53-bit uniform U of that row; the draw is 1
     where U > T = threshold[v] >> 11, so P(1) = (2**53 - 1 - T) / 2**53, the
-    probability bernoulli_field gives. A lane is decided at the first step
+    probability bernoulli_bits gives. A lane is decided at the first step
     where its bit of U differs from T's (Knuth & Yao, 1976); the words hold
     64 rows side by side, as a bitslice layout does (Biham, 1997). The first
     _SLICE_STEPS steps of every (variable, word) pair are hashed in blocks

@@ -39,8 +39,8 @@ import numpy as np
 from .cnf import (WORD, ConstraintSet, Literal, pack_rows as _pack_rows,
                   unpack_rows as _unpack_rows)
 from .model import ModelParams, marginals
-from .rng import (bernoulli_bits, bernoulli_cells, bernoulli_field, bernoulli_threshold,
-                  bernoulli_words, fold_seed, row_hashes)
+from .rng import (bernoulli_bits, bernoulli_cells, bernoulli_threshold, bernoulli_words,
+                  fold_seed, row_hashes)
 
 
 class SamplerExhaustedError(RuntimeError):
@@ -307,7 +307,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
                 live_hash = row_hash[live]
             if drawn is None:
                 drawn = np.zeros((n, 64 * active.size), dtype=bool)
-            drawn[:, live] = bernoulli_bits(live_hash, t, threshold)  # cells off live are masked
+            drawn[:, live] = bernoulli_bits(live_hash, t, threshold, np.arange(n))  # rest masked
             X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
             np.invert(X, out=table[n : 2 * n])
         else:  # the same bits, hashed only at the masked cells
@@ -367,8 +367,9 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
     constraints; every update keeps a chain valid, so a site's current value
     is always feasible. Each chain runs gibbs_burn_in sweeps and emits its
     final state. The draw of chain r (global row row_offset + r) at sweep s
-    is bernoulli_field(row_hashes(fold_seed(seed, "gibbs-chain"),
-    row_offset + r), s, ...), so a batch equals its chains run one at a time.
+    is bernoulli_bits(row_hashes(fold_seed(seed, "gibbs-chain"),
+    row_offset + r), s, ...), so a batch equals its chains run one at a time;
+    a sweep draws the free variables only, since no update reads another.
     A group member never moves: its group has one member set, so 0 would
     empty the group if that member is this one, and 1 would set a second if
     not. Sweeps update the free variables level by level; see
@@ -388,7 +389,8 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
 
     order, levels = kernel.gibbs_levels
     table = kernel.table(starts.take(order, axis=0))
-    draw = np.empty_like(table[:n])
+    free = order[: levels[-1][1] if levels else 0]  # the variables the levels update
+    draw = np.zeros((free.size, table.shape[1]), dtype=WORD)
     threshold = bernoulli_threshold(marginals(m))
     row_hash = row_hashes(fold_seed(cfg.seed, "gibbs-chain"), cfg.row_offset + np.arange(b))
     plan = []  # per level: its _split parts, ok rows and AND target, then its table rows
@@ -401,7 +403,8 @@ def gibbs_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig, starts: 
                      table[start:stop], table[n + start:n + stop], draw[start:stop]))
     sweeps = cfg.gibbs_burn_in if levels else 0  # with no levels, no variable can move
     for sweep in range(1, sweeps + 1):
-        np.take(bernoulli_field(row_hash, sweep, threshold), order, axis=0, out=draw)
+        draw.view(np.uint8)[:, : -(-b // 8)] = np.packbits(
+            bernoulli_bits(row_hash, sweep, threshold, free), axis=1, bitorder="little")
         for lits, ok, deep, ok0, ok1, new, neg, drawn in plan:
             if isinstance(lits, np.ndarray):  # one part, in list order (see _split): all of ok
                 np.bitwise_or.reduce(table.take(lits, axis=0), axis=0, out=ok)

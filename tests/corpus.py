@@ -153,7 +153,8 @@ def random_thetas(n: int, count: int, seed: int) -> list[ModelParams]:
 def uniform_field(seed: int, rows, round_index: int, n_slots: int) -> np.ndarray:
     """Uniforms in [0, 1) keyed by (seed, row, round, slot), shape
     (len(rows), n_slots), one hash per cell: the reference that
-    rng.bernoulli_field, rng.bernoulli_cells and the Gibbs sweeps must match
-    (a draw is 1 where the uniform exceeds p_zero)."""
+    rng.bernoulli_bits(..., variables) (at its variables' columns),
+    rng.bernoulli_cells and the Gibbs sweeps, which draw the free variables
+    only, must match (a draw is 1 where the uniform exceeds p_zero)."""
     rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
     return _to_unit(hash_u64(seed, rows, round_index, np.arange(n_slots, dtype=np.uint64)))

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from cmrf import rng
 from cmrf.rng import (
     _to_unit,
+    bernoulli_bits,
     bernoulli_cells,
-    bernoulli_field,
     bernoulli_threshold,
     bernoulli_words,
     fold_seed,
@@ -47,14 +47,14 @@ def test_threshold_matches_float_compare_at_the_boundaries():
         assert np.array_equal(h > bernoulli_threshold(p), _to_unit(h) > p), p
 
 
-def _field(seed, rows, round_index, threshold):
-    """bernoulli_field unpacked to (len(rows), len(threshold)) bool."""
-    words = bernoulli_field(row_hashes(seed, rows), round_index, threshold)
-    assert words.dtype == rng.WORD
-    assert words.shape == (threshold.size, -(-len(rows) // 64))
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    assert not bits[:, len(rows):].any()  # bits past the last row are 0
-    return bits[:, : len(rows)].T.astype(bool)
+def _field(seed, rows, round_index, threshold, variables=None):
+    """bernoulli_bits of `variables` (default: every variable of threshold),
+    transposed to (len(rows), len(variables))."""
+    if variables is None:
+        variables = np.arange(threshold.size)
+    bits = bernoulli_bits(row_hashes(seed, rows), round_index, threshold, variables)
+    assert bits.dtype == bool and bits.shape == (variables.size, len(rows))
+    return bits.T
 
 
 @pytest.mark.parametrize("round_index", [0, 7])
@@ -89,6 +89,17 @@ def test_bernoulli_field_at_block_edges(rows, width):
     ids = np.arange(7, 7 + rows)
     bits = _field(3, ids, 4, bernoulli_threshold(p))
     assert np.array_equal(bits, uniform_field(3, ids, 4, width) > p)
+
+
+def test_bernoulli_bits_of_a_shuffled_subset():
+    # A cell is keyed by its variable, so a proper subset drawn in any order
+    # gives the matching columns of the full field; 1500 rows of 100
+    # variables take three blocks.
+    p = np.random.default_rng(6).random(WIDTH)
+    variables = np.random.default_rng(7).permutation(WIDTH)[: WIDTH // 3]
+    ids = np.arange(2, 1502)
+    bits = _field(17, ids, 3, bernoulli_threshold(p), variables)
+    assert np.array_equal(bits, uniform_field(17, ids, 3, WIDTH)[:, variables] > p[variables])
 
 
 @settings(max_examples=60, deadline=None)

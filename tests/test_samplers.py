@@ -294,6 +294,17 @@ def test_gibbs_buffers_live_per_call():
     samplers._kernel.cache_clear()
 
 
+def _gibbs_mixed_set():
+    """The constraint set of the gibbs_mixed golden: clauses that share
+    variables with two of its three exactly-one groups."""
+    return ConstraintSet(
+        n_vars=12,
+        clauses=(clause(1, 4), clause(-2, 5, 7), clause(-4, -5), clause(6, -8, 9),
+                 clause(-9, 11), clause(3, -11, 4), clause(8, 12), clause(-12, -7, 11)),
+        exactly_one_groups=(frozenset({0, 1, 2}), frozenset({5, 6}), frozenset({9})),
+    )
+
+
 def test_gibbs_plan_leaves_out_group_members():
     # A group member never moves from a valid state, so only the variables in
     # no group get levels, and the members come after the last level.
@@ -301,12 +312,7 @@ def test_gibbs_plan_leaves_out_group_members():
 
     order, levels = _ConstraintKernel(gen_routes(4).constraints).gibbs_levels
     assert levels == [] and sorted(order.tolist()) == list(range(12))
-    cs = ConstraintSet(  # the set of the gibbs_mixed golden
-        n_vars=12,
-        clauses=(clause(1, 4), clause(-2, 5, 7), clause(-4, -5), clause(6, -8, 9),
-                 clause(-9, 11), clause(3, -11, 4), clause(8, 12), clause(-12, -7, 11)),
-        exactly_one_groups=(frozenset({0, 1, 2}), frozenset({5, 6}), frozenset({9})),
-    )
+    cs = _gibbs_mixed_set()
     order, levels = _ConstraintKernel(cs).gibbs_levels
     members = set().union(*cs.exactly_one_groups)
     planned = order[: levels[-1][1]].tolist()
@@ -314,6 +320,28 @@ def test_gibbs_plan_leaves_out_group_members():
     assert not members & set(planned) and set(order[len(planned):].tolist()) == members
     for start, stop, lits, depth in levels:
         assert sum(rows.shape[1] for _, rows in lits) == 2 * depth * (stop - start)
+
+
+def test_gibbs_sweeps_draw_the_free_variables_only(monkeypatch):
+    # No update reads a group member's draw, so each sweep hashes the cells
+    # of the free variables alone, in plan order.
+    cs = _gibbs_mixed_set()
+    m = ModelParams(np.linspace(-1.0, 1.0, cs.n_vars))
+    starts = draw_valid_rows(cs, m, "nelson", 50, seed=3)
+    order, levels = samplers._kernel(cs).gibbs_levels
+    free = order[: levels[-1][1]]
+    calls, bits = [], samplers.bernoulli_bits
+
+    def spy(row_hash, round_index, threshold, variables):
+        calls.append((round_index, variables.tolist()))
+        return bits(row_hash, round_index, threshold, variables)
+
+    monkeypatch.setattr(samplers, "bernoulli_bits", spy)
+    cfg = SamplerConfig(batch_size=50, seed=7, gibbs_burn_in=10)
+    batch, _ = gibbs_sample(cs, m, cfg, pack_rows(starts))
+    assert calls == [(sweep, free.tolist()) for sweep in range(1, 11)]
+    assert not set(free.tolist()) & set().union(*cs.exactly_one_groups)
+    assert satisfies_all(cs, batch.rows).all()
 
 
 @st.composite
@@ -649,9 +677,9 @@ class TestGibbs:
         starts = draw_valid_rows(cs, theta, "nelson", 70, seed=3)
 
         def no_draws(*args):
-            raise AssertionError("bernoulli_field called on an empty plan")
+            raise AssertionError("bernoulli_bits called on an empty plan")
 
-        monkeypatch.setattr(samplers, "bernoulli_field", no_draws)
+        monkeypatch.setattr(samplers, "bernoulli_bits", no_draws)
         cfg = SamplerConfig(batch_size=70, seed=4, gibbs_burn_in=500)
         batch, stats = gibbs_sample(cs, theta, cfg, pack_rows(starts))
         assert np.array_equal(batch.rows, starts) and batch.valid_flags.all()
