@@ -13,11 +13,13 @@ its exactly-one groups and instance weights. Two more spread the constraint
 widths and variable degrees that ksat:N keeps narrow, with zero weights:
 `wide:N` adds one clause holding all N variables, positive (widths 3 and N),
 and `hub:N` adds a variable N, positive, to every clause (variable N in
-all N clauses, the others in about 3). Each run reports `wall_s`,
-`peak_rss_mb`, `exhausted` (INVALID rows), `valid_share` (valid rows / N),
-`valid_rows_per_s` (valid rows / wall_s), `mean_rounds` (mean of the
-rounds in stats.json; for gibbs the burn-in, after which each chain emits)
-and `samples_sha256`, the digest of samples.txt, which shows whether two
+all N clauses, the others in about 3). `mixed:C` is routes:C plus the clauses
+of gen_sinkfree(10, 0.5, seed=0) moved onto 20 more variables with zero
+weight, so a gibbs run has free variables next to the groups' members. Each
+run reports `wall_s`, `peak_rss_mb`, `exhausted` (INVALID rows),
+`valid_share` (valid rows / N), `valid_rows_per_s` (valid rows / wall_s),
+`mean_rounds` (mean of the rounds in stats.json; for gibbs the burn-in,
+after which each chain emits) and `samples_sha256`, the digest of samples.txt, which shows whether two
 checkouts wrote the same rows.
 `--burn-in N` is passed to `cmrf sample` for gibbs runs only, and a gibbs
 run records it as `burn_in` (null: the CLI default).
@@ -84,8 +86,14 @@ work, command, n, sampler = Path(sys.argv[1]), sys.argv[2], sys.argv[3], sys.arg
 family, size = sys.argv[4].split(":")
 if family == "sinkfree":
     inst = gen_sinkfree(int(size), 0.1, seed=1)
-elif family == "routes":
+elif family in ("routes", "mixed"):
     inst = gen_routes(int(size), seed=0)
+    if family == "mixed":  # gen_sinkfree(10, 0.5, seed=0)'s clauses on 20 more variables
+        extra, shift = gen_sinkfree(10, 0.5, seed=0).constraints, inst.constraints.n_vars
+        inst.constraints = replace(inst.constraints, n_vars=shift + extra.n_vars, clauses=tuple(
+            Clause(tuple(Literal(lit.variable_index + shift, lit.negated) for lit in c.literals))
+            for c in extra.clauses))
+        inst.metadata["theta"] += [0.0] * extra.n_vars
 else:  # ksat, wide and hub all hold the clauses of gen_ksat(N, N, 3, seed=1)
     inst, N = gen_ksat(int(size), int(size), 3, seed=1), int(size)
     cs = inst.constraints
@@ -153,7 +161,7 @@ def _git_rev(src: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-_FAMILIES = ("sinkfree", "ksat", "wide", "hub", "routes")
+_FAMILIES = ("sinkfree", "ksat", "wide", "hub", "routes", "mixed")
 
 
 def _instance(text: str) -> str:
@@ -185,7 +193,7 @@ def main() -> int:
                         help="sample: --n per run (default: 10000 100000 1000000); "
                              "train: --m per run (default: 200); oracle: refused")
     parser.add_argument("--instance", type=_instance, default="sinkfree:80",
-                        help="sinkfree:V, ksat:N, wide:N, hub:N or routes:C "
+                        help="sinkfree:V, ksat:N, wide:N, hub:N, routes:C or mixed:C "
                              "(default: sinkfree:80)")
     parser.add_argument("--sampler", choices=["nelson", "moser", "gibbs"], default=None,
                         help="sample and train: the sampler (default: nelson)")
@@ -240,7 +248,9 @@ def main() -> int:
                           "ksat:N plus one positive clause over all N variables and hub:N "
                           "ksat:N with a new variable N added positive to every clause, "
                           "both with zero weights; routes:C is "
-                          "gen_routes(C, seed=0) with its groups and weights); wall_s times "
+                          "gen_routes(C, seed=0) with its groups and weights, and mixed:C "
+                          "routes:C plus the clauses of gen_sinkfree(10, 0.5, seed=0) on 20 "
+                          "more variables with zero weight); wall_s times "
                           "cli.run in a fresh process, peak_rss_mb is that process's "
                           "ru_maxrss, the rest comes from stats.json")
     kept = report.setdefault("results", {}).get(args.label, {}).get("runs", [])

@@ -100,14 +100,15 @@ def test_bench_sample_append(tmp_path):
 
 
 def test_bench_sample_skewed_instances(tmp_path):
-    # wide:N and hub:N spread the clause widths and variable degrees of ksat:N.
+    # wide:N and hub:N spread the clause widths and variable degrees of ksat:N;
+    # mixed:C puts clauses on free variables next to the groups of routes:C.
     out = tmp_path / "bench.json"
-    for instance in ("ksat:12", "wide:12", "hub:12"):
+    for instance in ("ksat:12", "wide:12", "hub:12", "mixed:3"):
         proc = _run_script(tmp_path, "bench_sample.py", "--label", "t", "--instance", instance,
                            "--sizes", "40", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     runs = json.loads(out.read_text())["results"]["t"]["runs"]
-    assert [run["instance"] for run in runs] == ["ksat:12", "wide:12", "hub:12"]
+    assert [run["instance"] for run in runs] == ["ksat:12", "wide:12", "hub:12", "mixed:3"]
     assert all(run["exit_code"] == 0 and run["valid_share"] > 0 for run in runs)
 
 
