@@ -153,12 +153,12 @@ def bernoulli_bits(row_hash: np.ndarray, round_index: int, threshold: np.ndarray
     bits = np.empty((n, prefix.size), dtype=bool)
     row_step = 64 * max(1, _BLOCK_CELLS // (64 * max(1, n)))
     var_step = max(1, _BLOCK_CELLS // row_step)
-    keys, threshold = variables.astype(np.uint64)[:, None], threshold[variables, None]
+    keys, limits = variables.astype(np.uint64)[:, None], threshold[variables, None]
     for v in range(0, n, var_step):
         for start in range(0, prefix.size, row_step):
             block = prefix[start:start + row_step] ^ keys[v:v + var_step]
             np.greater(hash_u64(block, scratch=np.empty_like(block)),  # in place: 1 buffer, not 2
-                       threshold[v:v + var_step],
+                       limits[v:v + var_step],
                        out=bits[v:v + var_step, start:start + row_step])
     return bits
 

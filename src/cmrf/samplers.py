@@ -307,7 +307,8 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
                 live_hash = row_hash[live]
             if drawn is None:
                 drawn = np.zeros((n, 64 * active.size), dtype=bool)
-            drawn[:, live] = bernoulli_bits(live_hash, t, threshold, np.arange(n))  # rest masked
+            # cells off live are masked
+            drawn[:, live] = bernoulli_bits(live_hash, t, threshold, np.arange(n))
             X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
             np.invert(X, out=table[n : 2 * n])
         else:  # the same bits, hashed only at the masked cells
