@@ -34,8 +34,8 @@ from .oracle import (
     exact_grad_log_partition,
     expected_resamples,
 )
-from .problems import (gen_ksat, gen_routes, gen_sinkfree, instance_theta, save_instance,
-                       tree_components)
+from .problems import (SINKFREE_EDGE_PROB, gen_ksat, gen_routes, gen_sinkfree, instance_theta,
+                       save_instance, tree_components)
 from .samplers import SAMPLERS, SamplerConfig, SamplerExhaustedError, sample_stream
 
 EXIT_OK = 0
@@ -115,9 +115,9 @@ def _build_parser() -> _Parser:
     gen.add_argument("--size", required=True, type=positive_int,
                      help="variables (ksat), vertices (sinkfree), cities (routes)")
     gen.add_argument("--k", type=positive_int, default=None,
-                     help="clause width for ksat (default: 5)")
-    gen.add_argument("--edge-prob", type=probability, default=None,
-                     help="edge probability for sinkfree (default: 0.55)")
+                     help=f"clause width for ksat (default: {_READ_ONLY_BY['gen']['k'][1]})")
+    gen.add_argument("--edge-prob", type=probability, default=None, help=(
+        f"edge probability for sinkfree (default: {_READ_ONLY_BY['gen']['edge_prob'][1]})"))
     gen.add_argument("--seed", type=seed_value, default=0)
     gen.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -129,7 +129,7 @@ def _build_parser() -> _Parser:
     sample.add_argument("--n", required=True, type=positive_int, help="number of rows to draw")
     sample.add_argument("--tryout", type=positive_int, default=SamplerConfig.t_tryout)
     sample.add_argument("--burn-in", type=positive_int, default=None, help=(
-        f"gibbs only: sweeps per chain (default: {SamplerConfig.gibbs_burn_in})"))
+        f"gibbs only: sweeps per chain (default: {_READ_ONLY_BY['sample']['burn_in'][1]})"))
     sample.add_argument("--seed", type=seed_value, default=0)
     sample.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -154,8 +154,8 @@ def _build_parser() -> _Parser:
     ev.add_argument("--unseen", required=True)
     ev.add_argument("--grad-m", type=positive_int, default=None,
                     help="also estimate gradient error with this many samples")
-    ev.add_argument("--seed", type=seed_value, default=None,
-                    help="seed of the --grad-m draws (default: 0)")
+    ev.add_argument("--seed", type=seed_value, default=None, help=(
+        f"seed of the --grad-m draws (default: {_READ_ONLY_BY['eval']['seed'][1]})"))
     ev.add_argument("--out", default=".", help="output directory (default: current)")
 
     orc = sub.add_parser("oracle", help="exact enumeration quantities")
@@ -173,7 +173,7 @@ def _build_parser() -> _Parser:
 # the option is a usage error; left unset there, the plan holds None.
 _READ_ONLY_BY = {
     "gen": {"k": (lambda o: o["family"] == "ksat", 5),
-            "edge_prob": (lambda o: o["family"] == "sinkfree", 0.55)},
+            "edge_prob": (lambda o: o["family"] == "sinkfree", SINKFREE_EDGE_PROB)},
     "sample": {"burn_in": (lambda o: o["sampler"] == "gibbs", SamplerConfig.gibbs_burn_in)},
     "eval": {"seed": (lambda o: o["grad_m"] is not None, 0)},
 }

@@ -47,7 +47,11 @@ def gen_ksat(n: int, L: int, K: int, seed: int = 0) -> ProblemInstance:
     )
 
 
-def gen_sinkfree(num_vertices: int, edge_prob: float = 0.55, seed: int = 0) -> ProblemInstance:
+SINKFREE_EDGE_PROB = 0.55  # gen_sinkfree's default, and `cmrf gen`'s
+
+
+def gen_sinkfree(num_vertices: int, edge_prob: float = SINKFREE_EDGE_PROB,
+                 seed: int = 0) -> ProblemInstance:
     """Sink-free-orientation formula over a random graph.
 
     Edge e = (a, b) with a < b gets one Boolean variable; value 1 means the

@@ -236,18 +236,17 @@ def bernoulli_words(seed: int, first_row: int, b: int, round_index: int,
     steps = np.arange(_UNIFORM_BITS, dtype=np.uint64)
     top = threshold >> np.uint64(11)  # T; row k of tbits is T's bit k from the top, as 0 or ~0
     tbits = -((top >> (np.uint64(_UNIFORM_BITS - 1) - steps[:, None])) & np.uint64(1))
-    pairs = np.empty((n, span), dtype=WORD)  # the hash of (.., word, round, v) per pair
+    pairs = np.bitwise_xor(word_hash, np.arange(n, dtype=np.uint64)[:, None])
     words, decided = np.empty_like(pairs), np.empty_like(pairs)
+    hash_u64(pairs, scratch=words)  # in place: the hash of (.., word, round, v) per pair
     k = _SLICE_STEPS
     word_step = max(1, min(span, _BLOCK_CELLS // k))
     var_step = max(1, min(n, _BLOCK_CELLS // (k * word_step)))
     hashes, scratch = np.empty((2, k, var_step, word_step), dtype=WORD)  # reused by every block
     for v in range(0, n, var_step):
-        lanes = np.arange(v, min(n, v + var_step), dtype=np.uint64)[:, None]
         for w in range(0, span, word_step):
             block = np.s_[v:v + var_step, w:w + word_step]
             pair = pairs[block]
-            pair[...] = hash_u64(word_hash[w:w + word_step] ^ lanes)
             work = np.s_[:, : pair.shape[0], : pair.shape[1]]
             np.bitwise_xor(pair, steps[:k, None, None], out=hashes[work])
             words[block], decided[block] = _first_differences(

@@ -272,14 +272,16 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
     `active` marks the rows still resampling, one bit per row; the table
     keeps every word of the batch for the whole call. Round 0 draws the whole
     field under the word key (rng.bernoulli_words); round t >= 1 redraws the
-    masked cells under the cell key (row, t, variable)."""
+    masked cells under the cell key (row, t, variable). Both draw paths
+    (_DENSE_SHARE) end in one update of the table words that hold a masked cell."""
+    _check_shapes(cs, m)
     kernel = _kernel(cs)
     n, b = cs.n_vars, cfg.batch_size
     threshold = bernoulli_threshold(marginals(m))
     active = _row_words(b)
     row_hash = row_hashes(cfg.seed, cfg.row_offset + np.arange(64 * active.size, dtype=np.int64))
     table = kernel.table(bernoulli_words(cfg.seed, cfg.row_offset, b, 0, threshold))
-    X = table[:n]
+    values, negations = table[: 2 * n].reshape(2, -1)  # flat views
     live = drawn = None  # the dense rounds' active rows (None once rows finish) and cells
     finished = []  # (round, words): the rows that passed the check of a round
     tally = np.zeros(cs.n_constraints, dtype=np.int64)
@@ -300,7 +302,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         if not resample_all:  # keep only each row's lowest-indexed violation
             V[1:] &= ~np.bitwise_or.accumulate(V[:-1], axis=0)
         tally += np.bitwise_count(V[:-1]).sum(axis=1, dtype=np.int64)
-        mask = kernel.union_mask(V)
+        mask = kernel.union_mask(V).reshape(-1)
         if np.bitwise_count(mask).sum() > _DENSE_SHARE * n * np.bitwise_count(active).sum():
             if live is None:
                 live = _columns(active)
@@ -309,18 +311,14 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
                 drawn = np.zeros((n, 64 * active.size), dtype=bool)
             # cells off live are masked
             drawn[:, live] = bernoulli_bits(live_hash, t, threshold, np.arange(n))
-            X ^= (X ^ np.packbits(drawn, axis=1, bitorder="little").view(WORD)) & mask
-            np.invert(X, out=table[n : 2 * n])
+            cover, draws = slice(None), np.packbits(drawn, axis=1, bitorder="little")
         else:  # the same bits, hashed only at the masked cells
-            masked, bits, at = _set_bits(mask)
-            slot, column = np.divmod(masked, mask.shape[1])
-            word = at >> 6
-            rows = (column[word] << 6) | (at & 63)
-            bits[at] = bernoulli_cells(row_hash, t, threshold, rows, slot[word])
-            flat = X.reshape(-1)
-            flat[masked] = flat[masked] & ~mask.reshape(-1)[masked] | np.packbits(
-                bits, bitorder="little").view(WORD)
-            table[n : 2 * n].reshape(-1)[masked] = ~flat[masked]
+            cover, bits, at = _set_bits(mask)
+            variable, row = np.divmod((cover[at >> 6] << 6) | (at & 63), 64 * active.size)
+            bits[at] = bernoulli_cells(row_hash, t, threshold, row, variable)
+            draws = np.packbits(bits, bitorder="little")
+        values[cover] ^= (values[cover] ^ draws.view(WORD).reshape(-1)) & mask[cover]
+        negations[cover] = ~values[cover]
 
     rounds = np.full(b, cfg.t_tryout, dtype=np.int64)  # rows that never passed
     valid = np.zeros(b, dtype=bool)
@@ -329,7 +327,7 @@ def _resample_rounds(cs, m, cfg, resample_all: bool):
         turn, rows = np.divmod(_columns(np.concatenate(words)), 64 * active.size)
         rounds[rows] = np.array(check)[turn]
         valid[rows] = True
-    batch = AssignmentBatch(words=X, valid_flags=valid)
+    batch = AssignmentBatch(words=table[:n], valid_flags=valid)
     return batch, SamplerStats(rounds_per_row=rounds, per_constraint_resamples=tally)
 
 
@@ -339,14 +337,12 @@ def nelson_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig):
     Rows still violating constraints after t_tryout check rounds are returned
     with valid_flags False (their last assignment is kept); nothing is raised.
     """
-    _check_shapes(cs, m)
     return _resample_rounds(cs, m, cfg, resample_all=True)
 
 
 def moser_tardos_sample(cs: ConstraintSet, m: ModelParams, cfg: SamplerConfig):
     """Single-constraint variant: each round redraws only the lowest-indexed
     violated constraint's variables."""
-    _check_shapes(cs, m)
     return _resample_rounds(cs, m, cfg, resample_all=False)
 
 

@@ -731,6 +731,21 @@ class TestErrorPaths:
         assert options(*ev)["seed"] is None
         assert options(*ev, "--grad-m", "10")["seed"] == 0
 
+    @pytest.mark.parametrize("command, name", [(command, name) for command, names
+                                               in cli._READ_ONLY_BY.items() for name in names])
+    def test_conditional_option_help_names_its_resolved_default(self, command, name):
+        reading = {  # a run of each command that reads the option
+            "k": ("--family", "ksat", "--size", "5"),
+            "edge_prob": ("--family", "sinkfree", "--size", "4"),
+            "burn_in": ("--cnf", "c", "--theta", "t", "--sampler", "gibbs", "--n", "1"),
+            "seed": ("--cnf", "c", "--theta", "t", "--preferred", "p", "--unseen", "u",
+                     "--grad-m", "10"),
+        }
+        resolved = build_plan([command, *reading[name], "--out", "o"]).options[name]
+        subcommands = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        help_text = next(a.help for a in subcommands.choices[command]._actions if a.dest == name)
+        assert help_text.endswith(f"(default: {resolved})")
+
     def test_usage_error_exits_1(self):
         assert run(["train", "--cnf", "x"]) == EXIT_USAGE
 

@@ -590,6 +590,44 @@ class TestRecords:
         for rec in records:
             assert all(s and max(s) < cs.n_constraints for s in rec)
 
+    @pytest.mark.parametrize("share", [1.0, -1.0], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("sampler", [nelson_sample, moser_tardos_sample])
+    @pytest.mark.parametrize("instance", ["toy", "routes3"])
+    def test_masked_round_replays_from_independent_pieces(self, instance, sampler, share,
+                                                          monkeypatch):
+        # One masked round rebuilt without the kernel: round 0 from the word
+        # key, the violated sets from the reference evaluator, the redrawn
+        # cells from the cell key at round 1, on either draw path.
+        from cmrf.problems import gen_routes, instance_theta
+        from cmrf.rng import bernoulli_cells, bernoulli_threshold, bernoulli_words, row_hashes
+
+        if instance == "toy":
+            cs, m = corpus.toy_formula(), ModelParams([0.4, -0.7, 1.1])
+        else:
+            inst = gen_routes(3, seed=0)
+            cs, m = inst.constraints, instance_theta(inst)
+        monkeypatch.setattr(samplers, "_DENSE_SHARE", share)
+        b, seed = 150, 21
+        batch, stats = sampler(cs, m, SamplerConfig(batch_size=b, seed=seed, t_tryout=2))
+
+        threshold = bernoulli_threshold(marginals(m))
+        rows = unpack_rows(bernoulli_words(seed, 0, b, 0, threshold), b)
+        violated = violation_matrix(cs, rows)
+        if sampler is moser_tardos_sample:  # each row's lowest-indexed violation
+            violated &= np.cumsum(violated, axis=1) == 1
+        members = np.zeros((cs.n_constraints, cs.n_vars), dtype=bool)
+        for j, cl in enumerate(cs.clauses):
+            members[j, [lit.variable_index for lit in cl.literals]] = True
+        for g, group in enumerate(cs.exactly_one_groups):
+            members[cs.n_clauses + g, sorted(group)] = True
+        r, v = np.nonzero(violated.astype(int) @ members)
+        assert r.size
+        rows[r, v] = bernoulli_cells(row_hashes(seed, np.arange(b)), 1, threshold, r, v)
+        failed = violated.any(axis=1)
+        assert np.array_equal(batch.rows, rows)
+        assert np.array_equal(stats.rounds_per_row, np.where(failed, 2, 1))
+        assert np.array_equal(batch.valid_flags, ~violation_matrix(cs, rows).any(axis=1))
+
 
 class TestExpectedResampleCounts:
     def test_toy_tallies_match_oracle(self, toy_cs, toy_uniform):
