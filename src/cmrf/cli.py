@@ -110,7 +110,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cmrf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a benchmark instance")
+    # Each flag that several subcommands read is declared once, in a parent.
+    inputs, theta, seed, tryout, out = (_Parser(add_help=False) for _ in range(5))
+    inputs.add_argument("--cnf", required=True)
+    inputs.add_argument("--groups", default=None)
+    theta.add_argument("--theta", required=True)
+    seed.add_argument("--seed", type=seed_value, default=0)
+    tryout.add_argument("--tryout", type=positive_int, default=SamplerConfig.t_tryout)
+    out.add_argument("--out", default=".", help="output directory (default: current)")
+
+    gen = sub.add_parser("gen", parents=[seed, out], help="generate a benchmark instance")
     gen.add_argument("--family", required=True, choices=["ksat", "sinkfree", "routes"])
     gen.add_argument("--size", required=True, type=positive_int,
                      help="variables (ksat), vertices (sinkfree), cities (routes)")
@@ -118,52 +127,35 @@ def _build_parser() -> _Parser:
                      help=f"clause width for ksat (default: {_READ_ONLY_BY['gen']['k'][1]})")
     gen.add_argument("--edge-prob", type=probability, default=None, help=(
         f"edge probability for sinkfree (default: {_READ_ONLY_BY['gen']['edge_prob'][1]})"))
-    gen.add_argument("--seed", type=seed_value, default=0)
-    gen.add_argument("--out", default=".", help="output directory (default: current)")
 
-    sample = sub.add_parser("sample", help="draw assignments from a model")
-    sample.add_argument("--cnf", required=True)
-    sample.add_argument("--groups", default=None)
-    sample.add_argument("--theta", required=True)
+    sample = sub.add_parser("sample", parents=[inputs, theta, seed, tryout, out],
+                            help="draw assignments from a model")
     sample.add_argument("--sampler", required=True, choices=sorted(SAMPLERS))
     sample.add_argument("--n", required=True, type=positive_int, help="number of rows to draw")
-    sample.add_argument("--tryout", type=positive_int, default=SamplerConfig.t_tryout)
     sample.add_argument("--burn-in", type=positive_int, default=None, help=(
         f"gibbs only: sweeps per chain (default: {_READ_ONLY_BY['sample']['burn_in'][1]})"))
-    sample.add_argument("--seed", type=seed_value, default=0)
-    sample.add_argument("--out", default=".", help="output directory (default: current)")
 
-    tr = sub.add_parser("train", help="contrastive-divergence training")
-    tr.add_argument("--cnf", required=True)
-    tr.add_argument("--groups", default=None)
+    tr = sub.add_parser("train", parents=[inputs, seed, tryout, out],
+                        help="contrastive-divergence training")
     tr.add_argument("--data", required=True)
     tr.add_argument("--m", type=positive_int, default=TrainConfig.m)
     tr.add_argument("--eta", type=positive_float, default=TrainConfig.eta)
     tr.add_argument("--iters", type=nonnegative_int, default=TrainConfig.t_max)
     tr.add_argument("--sampler", default=TrainConfig.sampler_kind, choices=sorted(SAMPLERS))
-    tr.add_argument("--tryout", type=positive_int, default=SamplerConfig.t_tryout)
     tr.add_argument("--nll-every", type=positive_int, default=TrainConfig.nll_every)
-    tr.add_argument("--seed", type=seed_value, default=0)
-    tr.add_argument("--out", default=".", help="output directory (default: current)")
 
-    ev = sub.add_parser("eval", help="evaluate a model against assignment sets")
-    ev.add_argument("--cnf", required=True)
-    ev.add_argument("--groups", default=None)
-    ev.add_argument("--theta", required=True)
+    ev = sub.add_parser("eval", parents=[inputs, theta, out],
+                        help="evaluate a model against assignment sets")
     ev.add_argument("--preferred", required=True)
     ev.add_argument("--unseen", required=True)
     ev.add_argument("--grad-m", type=positive_int, default=None,
                     help="also estimate gradient error with this many samples")
     ev.add_argument("--seed", type=seed_value, default=None, help=(
         f"seed of the --grad-m draws (default: {_READ_ONLY_BY['eval']['seed'][1]})"))
-    ev.add_argument("--out", default=".", help="output directory (default: current)")
 
-    orc = sub.add_parser("oracle", help="exact enumeration quantities")
-    orc.add_argument("--cnf", required=True)
-    orc.add_argument("--groups", default=None)
-    orc.add_argument("--theta", required=True)
+    orc = sub.add_parser("oracle", parents=[inputs, theta, out],
+                         help="exact enumeration quantities")
     orc.add_argument("--what", required=True, choices=["dist", "grad", "resamples"])
-    orc.add_argument("--out", default=".", help="output directory (default: current)")
 
     return parser
 

@@ -360,15 +360,21 @@ class Dataset:
             raise ValueError(f"dataset row {bad} violates the constraints")
 
 
-def build_dependency_graph(cs: ConstraintSet) -> DependencyGraph:
-    """Edge (i, j) iff constraints i != j share at least one variable."""
+def _supports(cs: ConstraintSet):
+    """Each constraint's variables, and for each variable the ascending
+    indices of the constraints that hold it."""
     supports = [cs.constraint_variables(j) for j in range(cs.n_constraints)]
-    var_to_constraints: dict[int, list[int]] = {}
+    containing: dict[int, list[int]] = {}
     for j, sup in enumerate(supports):
         for v in sup:
-            var_to_constraints.setdefault(v, []).append(j)
+            containing.setdefault(v, []).append(j)
+    return supports, containing
+
+
+def build_dependency_graph(cs: ConstraintSet) -> DependencyGraph:
+    """Edge (i, j) iff constraints i != j share at least one variable."""
     neighbors: list[set[int]] = [set() for _ in range(cs.n_constraints)]
-    for members in var_to_constraints.values():
+    for members in _supports(cs)[1].values():
         for i, j in itertools.combinations(members, 2):
             neighbors[i].add(j)
             neighbors[j].add(i)
@@ -444,13 +450,13 @@ def check_extremal(cs: ConstraintSet):
     an assignment of the union of two adjacent constraints' variables that
     violates both. Each adjacent pair is decided in closed form (see
     _jointly_violable), so no assignment is enumerated however many
-    variables a pair spans.
+    variables a pair spans. Pairs go i, then j, ascending, over a variable ->
+    constraints index, without building the dependency graph: a variable in
+    d constraints gives it d^2 / 2 edges before the first pair is decided.
     """
-    g = build_dependency_graph(cs)
-    for i in range(cs.n_constraints):
-        for j in sorted(g.adjacency[i]):
-            if j <= i:
-                continue
+    supports, containing = _supports(cs)
+    for i, sup in enumerate(supports):
+        for j in sorted({k for v in sup for k in containing[v] if k > i}):
             violable, witness = _jointly_violable(cs, i, j)
             if violable:
                 return False, witness

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cnf import (WORD, ConstraintSet, Literal, pack_rows as _pack_rows,
+from .cnf import (WORD, ConstraintSet, pack_rows as _pack_rows,
                   unpack_rows as _unpack_rows)
 from .model import ModelParams, marginals
 from .rng import (bernoulli_bits, bernoulli_cells, bernoulli_threshold, bernoulli_words,
@@ -135,18 +135,18 @@ class _ConstraintKernel:
     """
 
     def __init__(self, cs: ConstraintSet):
-        literals = [cl.literals for cl in cs.clauses]
-        literals += [[Literal(v) for v in sorted(g)] for g in cs.exactly_one_groups]
         n = self.n = cs.n_vars
         c = self.n_clauses = cs.n_clauses
-        self.codes = [[lit.variable_index + n * lit.negated for lit in row] for row in literals]
+        self.codes = [[lit.variable_index + n * lit.negated for lit in cl.literals]
+                      for cl in cs.clauses]
+        self.codes += [sorted(g) for g in cs.exactly_one_groups]
         self.containing = [[] for _ in range(n)]
         for j, row in enumerate(self.codes):
             for code in row:
                 self.containing[code % n].append(j)
         self.clause_rows = _split(self.codes[:c], 2 * n)
         self.group_rows = _split(self.codes[c:], 2 * n, first=c)
-        self.constraint_rows = _split(self.containing, len(literals))
+        self.constraint_rows = _split(self.containing, len(self.codes))
 
     def table(self, values: np.ndarray) -> np.ndarray:
         """The (2n + 2, words) table of (n, words) packed values."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cmrf import cnf
 from cmrf.cnf import (
     Clause,
     ConstraintSet,
@@ -33,7 +34,7 @@ from cmrf.cnf import (
     violation_matrix,
 )
 from cmrf.oracle import empirical_table
-from cmrf.problems import gen_routes, gen_sinkfree
+from cmrf.problems import gen_ksat, gen_routes, gen_sinkfree
 
 import corpus
 
@@ -298,6 +299,45 @@ class TestCheckExtremal:
             and violated[j]
             for i, j in pairs
         )
+
+    def test_pair_order_matches_the_dependency_graph_without_building_it(self, monkeypatch):
+        def graph_reference(cs):
+            """The first violable pair (i, j), i < j adjacent, in the order of
+            the full dependency graph: i ascending, then j ascending."""
+            for i, j in itertools.combinations(range(cs.n_constraints), 2):
+                if cs.constraint_variables(i) & cs.constraint_variables(j):
+                    violable, witness = cnf._jointly_violable(cs, i, j)
+                    if violable:
+                        return False, witness
+            return True, None
+
+        rng = np.random.default_rng(7)
+
+        def random_set():
+            n = int(rng.integers(2, 10))
+            support = lambda: rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()
+            clauses = tuple(Clause(tuple(Literal(v, bool(rng.integers(2))) for v in support()))
+                            for _ in range(int(rng.integers(0, 6))))
+            groups = tuple(frozenset(support()) for _ in range(int(rng.integers(0, 4))))
+            return ConstraintSet(n_vars=n, clauses=clauses, exactly_one_groups=groups)
+
+        base = gen_ksat(60, 60, 3, seed=1).constraints
+        hubs = [ConstraintSet(n_vars=61, clauses=tuple(
+            Clause(c.literals + (Literal(60, sign(j)),)) for j, c in enumerate(base.clauses)))
+            for sign in (lambda j: False, lambda j: j % 2 == 1)]
+        sets = ([random_set() for _ in range(120)] + hubs
+                + [gen_ksat(12, 8, 3, seed=s).constraints for s in range(6)]
+                + [gen_sinkfree(8, 0.4, seed=s).constraints for s in range(6)]
+                + [gen_routes(c).constraints for c in (3, 4)])
+        expected = [graph_reference(cs) for cs in sets]
+
+        def refuse(cs):
+            raise AssertionError("check_extremal built the dependency graph")
+
+        monkeypatch.setattr(cnf, "build_dependency_graph", refuse)
+        assert [cnf.check_extremal(cs) for cs in sets] == expected
+        verdicts = Counter(ok for ok, _ in expected)
+        assert verdicts[True] >= 10 and verdicts[False] >= 10
 
 
 class TestSidecar:

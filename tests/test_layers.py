@@ -5,13 +5,22 @@ back to the paper's tensor formulation (`tensors`) or up to the trainer
 (`learn`), and only the kernel's constructor reads the constraint objects;
 `metrics` and `problems` sit below the trainer as well. The reference oracle
 stays independent of the sampler kernel it checks and of the trainer, and
-`cnf` is the bottom layer: it imports no other cmrf module. In `rng`, every
+`cnf` is the bottom layer: it imports no other cmrf module. The package root
+re-exports nothing, so a fresh process that imports a lower layer loads only
+that layer and the ones below it, and every dotted `cmrf.` name in README.md
+resolves at its module path. In `rng`, every
 draw is a keyed view of one splitmix chain: no class holds generator state,
 and only `hash_u64` calls the mixer. The sampler settings and statistics
 have pinned fields, so a new knob or counter has to edit a test.
 """
 
 import ast
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -102,3 +111,37 @@ def test_sampler_settings_and_stats_are_pinned():
         "batch_size", "seed", "t_tryout", "gibbs_burn_in", "row_offset"]
     assert [f.name for f in fields(SamplerStats)] == [
         "rounds_per_row", "per_constraint_resamples"]
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("cnf", {"cnf"}),
+        ("samplers", {"cnf", "model", "rng", "samplers"}),
+    ],
+)
+def test_importing_a_layer_loads_only_the_layers_below(module, loaded):
+    # A fresh child that imports the same cmrf as this process, installed or not.
+    pythonpath = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = (f"import json, sys, cmrf.{module}; "
+            "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] == 'cmrf')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, timeout=60, check=True)
+    assert json.loads(proc.stdout) == ["cmrf"] + sorted(f"cmrf.{m}" for m in loaded)
+
+
+def test_readme_names_resolve_at_their_module_paths():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`(cmrf(?:\.\w+)+)`", readme))
+    assert "cmrf.samplers.nelson_sample" in names
+    for name in sorted(names):
+        parts = name.split(".")
+        for depth in range(len(parts), 0, -1):  # the longest prefix that is a module
+            try:
+                obj = importlib.import_module(".".join(parts[:depth]))
+                break
+            except ImportError:
+                continue
+        for attr in parts[depth:]:
+            assert hasattr(obj, attr), f"README names {name}, which does not resolve"
+            obj = getattr(obj, attr)
