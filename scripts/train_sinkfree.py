@@ -18,7 +18,7 @@ import numpy as np
 from cmrf.learn import TrainConfig, neg_log_likelihood, save_trace_csv, train
 from cmrf.metrics import map_at_10
 from cmrf.model import ModelParams, save_model
-from cmrf.oracle import EmptySupportError, exact_distribution
+from cmrf.oracle import EmptySupportError, EnumerationCapError, exact_distribution
 from cmrf.problems import gen_sinkfree, gen_training_set, save_instance
 from cmrf.samplers import SAMPLERS
 
@@ -39,12 +39,16 @@ def main():
     cs = inst.constraints
     theta0 = ModelParams(np.zeros(cs.n_vars))
     # Some graphs (a tree, for one) have no sink-free orientation: stop here
-    # rather than let the sampler spend its whole budget on one.
+    # rather than let the sampler spend its whole budget on one. The exact NLL
+    # enumerates every orientation, so a graph with too many edges stops too.
     try:
         support = exact_distribution(cs, theta0).support
     except EmptySupportError:
         sys.exit(f"no sink-free orientation of this {args.vertices}-vertex graph "
                  f"({cs.n_vars} edges); try another --seed or more --vertices")
+    except EnumerationCapError as exc:
+        sys.exit(f"{exc}: the exact NLL enumerates every orientation of the "
+                 f"{args.vertices}-vertex graph; try fewer --vertices")
     rng = np.random.default_rng(args.seed)
     theta_star = ModelParams(rng.uniform(-1, 1, cs.n_vars))
     ds = gen_training_set(inst, theta_star, args.train_size, seed=args.seed + 1)

@@ -5,8 +5,9 @@ file-based runs: every run takes explicit input paths, writes its artifacts
 plus a manifest echoing the fully resolved plan, and draws random values from
 the plan seed only (`oracle` enumerates and draws nothing, so it takes no
 seed). Flag defaults are read from SamplerConfig and TrainConfig. Failures
-exit with a stable code (1 usage, 2 I/O, 3 infeasible instance, 4 oracle
-enumeration cap, 5 sampler exhaustion) and a JSON error object on stderr.
+exit with a stable code (1 usage or a failed allocation, 2 I/O, 3 infeasible
+instance, 4 oracle enumeration cap, 5 sampler exhaustion) and a JSON error
+object on stderr.
 A run that goes on but cannot give what it was asked for writes a JSON
 warning object on stderr: `gen --family sinkfree` when the graph it drew has
 a tree component, which makes the instance unsatisfiable.
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import Dataset, DimacsError, encode_words, load_constraints
+from .cnf import ConstraintSet, Dataset, DimacsError, encode_words, load_constraints
 from .learn import TrainConfig, save_trace_csv, train
 from .metrics import grad_error, map_at_10, resample_stats, save_histogram_csv
 from .model import ModelParams, load_model, save_model
@@ -202,24 +203,13 @@ def _write_manifest(plan: RunPlan, outdir: Path) -> None:
         outdir / "manifest.json",
         {
             "command": plan.command,
-            "options": {k: v for k, v in sorted(plan.options.items())},
+            "options": plan.options,
             "version": __version__,
         },
     )
 
 
-def _load_inputs(options):
-    cs = load_constraints(options["cnf"], options["groups"])
-    theta = load_model(options["theta"])
-    if theta.n != cs.n_vars:
-        raise DimacsError(
-            f"theta length {theta.n} does not match instance width {cs.n_vars}"
-        )
-    return cs, theta
-
-
-def _run_gen(plan: RunPlan, outdir: Path) -> int:
-    options = plan.options
+def _run_gen(options: dict, outdir: Path, *_) -> int:
     family = options["family"]
     if family == "ksat":
         inst = gen_ksat(options["size"], options["size"], options["k"], seed=options["seed"])
@@ -259,9 +249,7 @@ def _write_stats(path: Path, rounds: np.ndarray, tally: np.ndarray, exhausted: i
         fh.write("\n  ]\n}\n")
 
 
-def _run_sample(plan: RunPlan, outdir: Path) -> int:
-    options = plan.options
-    cs, theta = _load_inputs(options)
+def _run_sample(options: dict, outdir: Path, cs: ConstraintSet, theta: ModelParams) -> int:
     n = options["n"]
     cfg = SamplerConfig(batch_size=min(n, _CHUNK_ROWS), seed=options["seed"],
                         t_tryout=options["tryout"],
@@ -285,9 +273,7 @@ def _run_sample(plan: RunPlan, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _run_train(plan: RunPlan, outdir: Path) -> int:
-    options = plan.options
-    cs = load_constraints(options["cnf"], options["groups"])
+def _run_train(options: dict, outdir: Path, cs: ConstraintSet, _theta) -> int:
     ds = Dataset.load(options["data"])  # train validates it against cs
     cfg = TrainConfig(
         m=options["m"],
@@ -305,9 +291,7 @@ def _run_train(plan: RunPlan, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _run_eval(plan: RunPlan, outdir: Path) -> int:
-    options = plan.options
-    cs, theta = _load_inputs(options)
+def _run_eval(options: dict, outdir: Path, cs: ConstraintSet, theta: ModelParams) -> int:
     preferred = Dataset.load(options["preferred"], constraint_set=cs)
     unseen = Dataset.load(options["unseen"], constraint_set=cs)
     report = {"map_at_10": map_at_10(theta, preferred.assignments, unseen.assignments)}
@@ -319,15 +303,12 @@ def _run_eval(plan: RunPlan, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _run_oracle(plan: RunPlan, outdir: Path) -> int:
-    options = plan.options
-    cs, theta = _load_inputs(options)
+def _run_oracle(options: dict, outdir: Path, cs: ConstraintSet, theta: ModelParams) -> int:
     what = options["what"]
     if what == "dist":
         dist = exact_distribution(cs, theta)
-        table = [
-            {"assignment": key, "prob": prob}
-            for key, prob in sorted(dist.prob_table().items())
+        table = [  # the support's lexicographic order is the keys' order
+            {"assignment": key, "prob": prob} for key, prob in dist.prob_table().items()
         ]
         _write_json(outdir / "dist.json", table)
         _write_json(outdir / "partition.json", {"log_partition": dist.log_partition})
@@ -357,10 +338,18 @@ _RUNNERS = {
 
 
 def execute_plan(plan: RunPlan) -> int:
-    outdir = Path(plan.options["out"])
+    """The one run pipeline: write the manifest, then load the instance and
+    theta where the subcommand declares --cnf and --theta, check that their
+    widths agree, and call the subcommand's runner on them."""
+    options = plan.options
+    outdir = Path(options["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(plan, outdir)
-    return _RUNNERS[plan.command](plan, outdir)
+    cs = load_constraints(options["cnf"], options["groups"]) if "cnf" in options else None
+    theta = load_model(options["theta"]) if "theta" in options else None
+    if theta is not None and theta.n != cs.n_vars:
+        raise DimacsError(f"theta length {theta.n} does not match instance width {cs.n_vars}")
+    return _RUNNERS[plan.command](options, outdir, cs, theta)
 
 
 def _warn(message: str, **fields) -> None:
@@ -378,14 +367,10 @@ def _fail(exit_code: int, exc: Exception) -> int:
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        plan = build_plan(argv)
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, exc)
-    try:
-        return execute_plan(plan)
-    except ValueError as exc:
-        if isinstance(exc, DimacsError):
-            return _fail(EXIT_IO, exc)
+        return execute_plan(build_plan(argv))
+    except DimacsError as exc:
+        return _fail(EXIT_IO, exc)
+    except (ValueError, MemoryError) as exc:  # UsageError is a ValueError
         return _fail(EXIT_USAGE, exc)
     except SamplerExhaustedError as exc:
         return _fail(EXIT_EXHAUSTED, exc)

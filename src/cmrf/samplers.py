@@ -442,7 +442,7 @@ def sample_stream(cs: ConstraintSet, m: ModelParams, kind: str, cfg: SamplerConf
     starts = None
     if kind == "gibbs":
         starts = _valid_blocks(cs, m, "nelson", cfg.batch_size, fold_seed(cfg.seed, "gibbs-init"),
-                               cfg.t_tryout)
+                               cfg.t_tryout, rows="valid rows for the gibbs chain starts")
     row = cfg.row_offset
     while stop is None or row < stop:
         size = cfg.batch_size if stop is None else min(cfg.batch_size, stop - row)
@@ -457,12 +457,12 @@ def sample_stream(cs: ConstraintSet, m: ModelParams, kind: str, cfg: SamplerConf
 _RETRY_BATCHES = 10  # stream batches in a row that may pass without completing a block
 
 
-def _valid_blocks(cs, m, kind, count, seed, t_tryout):
+def _valid_blocks(cs, m, kind, count, seed, t_tryout, rows="valid rows"):
     """Blocks of `count` valid rows, (count, n) uint8, in row order, from the
     named sampler's stream keyed fold_seed(seed, "draw", 0) in batches of
     `count` rows. Raises SamplerExhaustedError once _RETRY_BATCHES batches
     pass without completing a block, so an unsatisfiable instance cannot
-    loop forever."""
+    loop forever; its message names the blocks' use as `rows`."""
     cfg = SamplerConfig(batch_size=count, seed=fold_seed(seed, "draw", 0), t_tryout=t_tryout)
     held = np.zeros((0, cs.n_vars), dtype=np.uint8)
     idle = 0
@@ -473,8 +473,8 @@ def _valid_blocks(cs, m, kind, count, seed, t_tryout):
             yield held[:count]
             held, idle = held[count:], 0
         elif idle == _RETRY_BATCHES:
-            raise SamplerExhaustedError(f"{kind} produced only {held.shape[0]}/{count} valid "
-                                        f"rows in {_RETRY_BATCHES} batches")
+            raise SamplerExhaustedError(f"{kind} produced only {held.shape[0]}/{count} {rows} "
+                                        f"in {_RETRY_BATCHES} batches")
 
 
 def draw_valid_rows(

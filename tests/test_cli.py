@@ -178,6 +178,35 @@ class TestSample:
         options = self._sample_options(tmp_path, "gibbs", *extra)
         assert options["burn_in"] == expected and "thin" not in options
 
+    def test_allocation_failure_exits_1_with_json(self, tmp_path, capsys):
+        # 10**17 rounds of int64 is 711 PiB, more than a 57-bit address space
+        # holds, so the allocation is refused at once and touches no memory.
+        cnf, theta = _write_toy(tmp_path)
+        out = tmp_path / "out"
+        code = run(["sample", "--cnf", str(cnf), "--theta", str(theta), "--sampler", "nelson",
+                    "--n", str(10**17), "--out", str(out)])
+        assert code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["exit_code"] == EXIT_USAGE and "MemoryError" in error["type"]
+        assert (out / "manifest.json").exists() and not (out / "samples.txt").exists()
+
+    def test_gibbs_without_chain_starts_names_them(self, tmp_path, capsys):
+        # Seed 0 draws a 2-edge path, which no row satisfies: nelson cannot
+        # draw the valid rows the Gibbs chains start from.
+        gen = tmp_path / "gen"
+        assert run(["gen", "--family", "sinkfree", "--size", "3", "--seed", "0",
+                    "--out", str(gen)]) == 0
+        theta = tmp_path / "theta.json"
+        save_model(ModelParams(np.zeros(2)), theta)
+        capsys.readouterr()
+        code = run(["sample", "--cnf", str(gen / "instance.cnf"), "--theta", str(theta),
+                    "--sampler", "gibbs", "--n", "3", "--out", str(tmp_path / "out")])
+        assert code == EXIT_EXHAUSTED
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == "nelson produced only 0/3 valid rows for the gibbs chain starts in 10 batches"
+
     def test_byte_identical_reruns(self, tmp_path):
         cnf, theta = _write_toy(tmp_path)
         outputs = []
@@ -483,6 +512,58 @@ class TestOracleCommand:
         code = run(["oracle", "--cnf", str(cnf), "--theta", str(theta),
                     "--what", "dist", "--out", str(tmp_path / "o")])
         assert code == EXIT_CAP
+
+
+class TestRunPipeline:
+    """execute_plan loads each run's inputs once, in one place."""
+
+    def test_each_run_loads_its_inputs_once(self, tmp_path, monkeypatch):
+        loads = []
+
+        def counting(name, load):
+            def wrapped(*args):
+                loads.append(name)
+                return load(*args)
+            return wrapped
+
+        monkeypatch.setattr(cli, "load_constraints", counting("cnf", cli.load_constraints))
+        monkeypatch.setattr(cli, "load_model", counting("theta", cli.load_model))
+        cnf = tmp_path / "four.cnf"
+        cnf.write_text("p cnf 4 1\n1 2 0\n")  # 12 valid rows
+        theta = tmp_path / "theta.json"
+        save_model(ModelParams(np.zeros(4)), theta)
+        (tmp_path / "preferred.txt").write_text("0100\n0101\n0110\n0111\n1000\n")
+        (tmp_path / "unseen.txt").write_text("1001\n1010\n1011\n1100\n1101\n")
+        inputs = ["--cnf", str(cnf)]
+        runs = {
+            "sample": [*inputs, "--theta", str(theta), "--sampler", "nelson", "--n", "5"],
+            "train": [*inputs, "--data", str(tmp_path / "preferred.txt"), "--m", "5",
+                      "--iters", "2"],
+            "eval": [*inputs, "--theta", str(theta), "--preferred",
+                     str(tmp_path / "preferred.txt"), "--unseen", str(tmp_path / "unseen.txt")],
+            "oracle": [*inputs, "--theta", str(theta), "--what", "dist"],
+        }
+        for command, argv in runs.items():
+            loads.clear()
+            assert run([command, *argv, "--out", str(tmp_path / command)]) == 0
+            assert loads == (["cnf"] if command == "train" else ["cnf", "theta"]), command
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sample", ["--sampler", "nelson", "--n", "5"]),
+        ("eval", ["--preferred", "p", "--unseen", "u"]),
+        ("oracle", ["--what", "dist"]),
+    ])
+    def test_theta_of_another_width_exits_2_after_the_manifest(self, tmp_path, capsys,
+                                                               command, extra):
+        cnf, _ = _write_toy(tmp_path)
+        theta = tmp_path / "wide.json"
+        save_model(ModelParams(np.zeros(4)), theta)
+        out = tmp_path / "o"
+        assert run([command, "--cnf", str(cnf), "--theta", str(theta), *extra,
+                    "--out", str(out)]) == EXIT_IO
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == "theta length 4 does not match instance width 3"
+        assert json.loads((out / "manifest.json").read_text())["command"] == command
 
 
 class TestErrorPaths:

@@ -59,6 +59,15 @@ def test_train_sinkfree_without_orientation_exits_1(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_sinkfree_above_enumeration_cap_exits_1(tmp_path):
+    # Seed 0 draws 33 edges on 12 vertices, above the exact NLL's enumeration cap.
+    proc = _run_script(tmp_path, "train_sinkfree.py", "--vertices", "12",
+                       "--out", str(tmp_path / "run"))
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and "enumeration cap 25" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_bench_sample(tmp_path):
     out = tmp_path / "bench.json"
     for sampler in ("nelson", "moser", "gibbs"):
